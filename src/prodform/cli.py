@@ -187,8 +187,8 @@ def _analysis(c: FormalChain, max_level: int) -> tuple[dict, list[Relation], lis
     labels = c.graph.labels
     c1 = cut_graph(c)
     edge_order = sorted(c1.edges, key=lambda e: _label_pair(c, *e))
-    relations = [s_relation(c, a, b) for a, b in edge_order]
     cuts = [sourced_cut(c, a, b) for a, b in edge_order]
+    relations = [s_relation(c, a, b, cut) for (a, b), cut in zip(edge_order, cuts)]
     first_level = {
         "edges": [_label_pair(c, a, b) for a, b in edge_order],
         "components": [sorted(labels[v] for v in comp) for comp in c1.components],
@@ -196,7 +196,7 @@ def _analysis(c: FormalChain, max_level: int) -> tuple[dict, list[Relation], lis
     }
     levels = []
     if max_level >= 2:
-        for lv in higher_level_cut_graph(c, max_level):
+        for lv in higher_level_cut_graph(c, max_level, c1):
             entry = hypergraph_to_json(lv, labels)
             entry["components"] = [
                 sorted(labels[v] for v in comp) for comp in lv.components
@@ -563,7 +563,7 @@ def cmd_export(args: argparse.Namespace) -> int:
                 f"  {_dot_id(a)} -> {_dot_id(b)} [dir=none, style=dashed, constraint=false, color=gray40];"
             )
     if args.annotate >= 2:
-        for lv in higher_level_cut_graph(c, args.annotate):
+        for lv in higher_level_cut_graph(c, args.annotate, c1):
             for k, h in enumerate(lv.hyperedges):
                 junction = f'"junction_{lv.level}_{k}"'
                 lines.append(f"  {junction} [shape=point, width=0.08];")

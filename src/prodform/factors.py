@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import InvalidArgumentError, NumericError
 
@@ -51,7 +50,7 @@ class ProductExpr:
                 raise InvalidArgumentError("Products must not nest directly; use product_of()")
 
 
-FactorExpr = Union[RateAtom, SumExpr, ProductExpr]
+FactorExpr = RateAtom | SumExpr | ProductExpr
 
 
 def sum_of(terms: Iterable[FactorExpr]) -> SumExpr:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .factors import (
@@ -61,7 +60,7 @@ class CutHypergraph:
     """One level of the recursion: its hyperedges and the merged partition."""
 
     level: int
-    base: Union[CutGraph, "CutHypergraph"]
+    base: CutGraph | CutHypergraph
     hyperedges: tuple[HyperEdge, ...]
     components: tuple[NodeSet, ...]
 
@@ -133,15 +132,19 @@ def _merge_components(
     return tuple(NodeSet(m, n) for m in merged)
 
 
-def higher_level_cut_graph(c: FormalChain, max_level: int) -> list[CutHypergraph]:
+def higher_level_cut_graph(
+    c: FormalChain, max_level: int, c1: CutGraph | None = None
+) -> list[CutHypergraph]:
     """Run the merge-and-rescan recursion from level 2 up to ``max_level``.
 
     Stops as soon as a level finds no hyperedge or everything has merged into
-    one component; levels that find nothing are not reported.
+    one component; levels that find nothing are not reported. A caller that
+    already holds ``cut_graph(c)`` passes it as ``c1``.
     """
     if max_level < 2:
         raise InvalidArgumentError("the recursion starts at level 2")
-    c1 = cut_graph(c)
+    if c1 is None:
+        c1 = cut_graph(c)
     base: CutGraph | CutHypergraph = c1
     comps = c1.components
     levels: list[CutHypergraph] = []

@@ -9,6 +9,7 @@ which happens exactly when their mutually avoiding ancestor sets are disjoint.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NotStronglyConnectedError
@@ -158,50 +159,139 @@ def sourced_cut(c: FormalChain, i: int, j: int) -> Cut | None:
     return Cut(NodeSet(a, g.n), NodeSet(b, g.n), NodeSet(1 << i, g.n), NodeSet(1 << j, g.n))
 
 
-def s_factors(c: FormalChain, i: int, j: int) -> tuple[SumExpr, SumExpr] | None:
+def s_factors(
+    c: FormalChain, i: int, j: int, cut: Cut | None = None
+) -> tuple[SumExpr, SumExpr] | None:
     """The factor pair (f_ij, f_ji) of the cut sourced at ({i}, {j}), or None.
 
     f_ij sums the rates of i's edges into j's cut side, so
     ``pi[i] * f_ij = pi[j] * f_ji`` is the cut equation of the sourced cut.
+    A caller that already holds ``sourced_cut(c, i, j)`` passes it as ``cut``.
     """
-    cut = sourced_cut(c, i, j)
     if cut is None:
-        return None
+        cut = sourced_cut(c, i, j)
+        if cut is None:
+            return None
     g = c.graph
     f_ij = sum_of(RateAtom(i, k) for k in g.out_adj[i] if k in cut.side_b)
     f_ji = sum_of(RateAtom(j, k) for k in g.out_adj[j] if k in cut.side_a)
     return f_ij, f_ji
 
 
-def s_relation(c: FormalChain, i: int, j: int) -> Relation | None:
-    """The width-level relation of a cut-graph edge, oriented by node index."""
-    pair = s_factors(c, i, j)
+def s_relation(c: FormalChain, i: int, j: int, cut: Cut | None = None) -> Relation | None:
+    """The width-level relation of a cut-graph edge, oriented by node index.
+
+    ``cut``, when given, must be ``sourced_cut(c, i, j)``.
+    """
+    pair = s_factors(c, i, j, cut)
     if pair is None:
         return None
     return make_relation(i, j, pair[0], pair[1])
 
 
-def cut_graph(c: FormalChain) -> CutGraph:
-    """Scan every unordered node pair for a sourced cut and bundle the results.
+def _dominator_subtree_sizes(
+    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]], root: int
+) -> list[int]:
+    """Subtree size of every node in the dominator tree of ``succ`` rooted at ``root``.
 
-    Deliberately the quadratic pairwise scan (each pair costs two bounded
-    reachability sweeps, so the whole scan is O(|V|^2 |E|)); components are
-    computed eagerly, and every node appears in one, isolated nodes as
-    singletons.
+    Simple Lengauer-Tarjan (path compression without balancing), written
+    iteratively; every node must be reachable from ``root``. Works on 1-based
+    DFS preorder numbers so that 0 can stand for "no forest ancestor".
+    """
+    n = len(succ)
+    num = [0] * n  # node -> preorder number, 0 while unvisited
+    order = [0]  # preorder number -> node
+    parent = [0]
+    # Marking nodes when popped, not when pushed, keeps this a depth-first order.
+    stack = [(root, 0)]
+    while stack:
+        v, p = stack.pop()
+        if num[v]:
+            continue
+        num[v] = len(order)
+        order.append(v)
+        parent.append(p)
+        for w in succ[v]:
+            if not num[w]:
+                stack.append((w, num[v]))
+    assert len(order) == n + 1, "every node must be reachable from the dominator-tree root"
+    semi = list(range(n + 1))
+    label = semi[:]
+    ancestor = [0] * (n + 1)
+    idom = [0] * (n + 1)
+    # Buckets of nodes by semidominator, as linked lists threaded through nxt.
+    head = [0] * (n + 1)
+    nxt = [0] * (n + 1)
+
+    def compress(v: int) -> None:
+        chain = []
+        while ancestor[ancestor[v]]:
+            chain.append(v)
+            v = ancestor[v]
+        for x in reversed(chain):
+            a = ancestor[x]
+            if semi[label[a]] < semi[label[x]]:
+                label[x] = label[a]
+            ancestor[x] = ancestor[a]
+
+    for w in range(n, 1, -1):
+        s = semi[w]
+        for v in pred[order[w]]:
+            v = num[v]
+            if ancestor[ancestor[v]]:
+                compress(v)
+            u = semi[label[v]]
+            if u < s:
+                s = u
+        semi[w] = s
+        nxt[w] = head[s]
+        head[s] = w
+        p = parent[w]
+        ancestor[w] = p
+        v = head[p]
+        while v:
+            if ancestor[ancestor[v]]:
+                compress(v)
+            u = label[v]
+            idom[v] = u if semi[u] < semi[v] else p
+            v = nxt[v]
+        head[p] = 0
+    for w in range(2, n + 1):
+        if idom[w] != semi[w]:
+            idom[w] = idom[idom[w]]
+    size = [1] * (n + 1)
+    for w in range(n, 1, -1):
+        size[idom[w]] += size[w]
+    return [size[k] for k in num]
+
+
+def cut_graph(c: FormalChain) -> CutGraph:
+    """Find every unordered node pair with a sourced cut and bundle the results.
+
+    On the reversed graph rooted at i, a node reaches i while avoiding j in
+    the chain exactly when j does not dominate it, so the avoiding-ancestor
+    set of i is ``V - Sub_i(j)``, where ``Sub_i(j)`` is j's subtree in the
+    dominator tree rooted at i. The pair is free exactly when
+    ``Sub_i(j) | Sub_j(i) == V``. The two subtrees never overlap: a node in
+    both could reach neither i without passing j nor j without passing i,
+    yet a shortest path from it to {i, j} ends at one of them without
+    passing the other. So the test
+    reduces to the two subtree sizes summing to |V|, which needs n sizes
+    per tree rather than n masks. That costs one Lengauer-Tarjan tree per
+    root, O(|V| |E| log |V|) in all, plus |V|^2 / 2 additions.
+    ``sourced_cut`` keeps the per-pair closures as an independent route.
+    Components are computed eagerly, and every node appears in one, isolated
+    nodes as singletons.
     """
     g = c.graph
     n = g.n
-    full = (1 << n) - 1
-    in_mask = g.in_mask
-    edges: list[tuple[int, int]] = []
-    for i in range(n):
-        bit_i = 1 << i
-        allowed_without_i = full & ~bit_i
-        for j in range(i + 1, n):
-            a = _closure(in_mask, bit_i, full & ~(1 << j))
-            b = _closure(in_mask, 1 << j, allowed_without_i)
-            if not a & b:
-                edges.append((i, j))
+    sizes = [_dominator_subtree_sizes(g.in_adj, g.out_adj, root) for root in range(n)]
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if sizes[i][j] + sizes[j][i] == n
+    ]
     # connected components over the undirected edge set
     adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:

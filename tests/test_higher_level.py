@@ -122,6 +122,13 @@ def test_batch_v1_merges_in_one_round():
     assert len(levels[0].components) == 1
 
 
+
+@pytest.mark.parametrize("family", [Family.BATCH_V1, Family.BATCH_V2])
+def test_recursion_accepts_the_callers_cut_graph(family):
+    c = generate(ModelSpec(family))
+    for k in (2, 3, 6):
+        assert higher_level_cut_graph(c, k, cut_graph(c)) == higher_level_cut_graph(c, k)
+
 def test_levels_coarsen_components():
     c = generate(ModelSpec(Family.BATCH_V2))
     c1 = cut_graph(c)

@@ -9,8 +9,10 @@ import pytest
 from prodform import (
     ChainKind,
     DirectedGraph,
+    Family,
     FormalChain,
     InvalidArgumentError,
+    ModelSpec,
     NotStronglyConnectedError,
     SumExpr,
     ancestors,
@@ -19,6 +21,8 @@ from prodform import (
     clique_territory_cut,
     cut_graph,
     cut_source,
+    expected_fixtures,
+    generate,
     is_jaf,
     mutually_avoiding_ancestors,
     s_factors,
@@ -26,7 +30,7 @@ from prodform import (
     set_avoiding_subgraph,
     sourced_cut,
 )
-from prodform.graph_core import NodeSet
+from prodform.graph_core import NodeSet, is_strongly_connected
 
 from util import (
     bipartition_sources,
@@ -278,6 +282,67 @@ def test_cut_graph_edges_match_pairwise_freeness():
             for v in comp:
                 assert cg.component_of[v] == cg.components.index(comp)
         assert union == g.full_set()
+
+
+
+def _sourced_cut_pairs(c: FormalChain) -> frozenset[tuple[int, int]]:
+    return frozenset(
+        (i, j) for i, j in itertools.combinations(range(c.n), 2) if sourced_cut(c, i, j) is not None
+    )
+
+
+def _random_edge_chain(rng: random.Random) -> FormalChain:
+    """Every ordered pair (self-loops included) is an edge with one drawn density."""
+    while True:
+        n = rng.randint(2, 16)
+        density = rng.uniform(0.08, 0.5)
+        edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+        g = DirectedGraph([str(i) for i in range(n)], edges)
+        if is_strongly_connected(g):
+            return FormalChain(g)
+
+
+def test_dominator_scan_matches_sourced_cuts_on_random_chains():
+    rng = random.Random(2502)
+    for k in range(1000):
+        if k % 2:
+            c = FormalChain(random_strongly_connected(rng, rng.randint(2, 16), rng.uniform(0.08, 0.5)))
+        else:
+            c = _random_edge_chain(rng)
+        assert cut_graph(c).edges == _sourced_cut_pairs(c)
+
+
+# Every family at its default size, plus the chain sizes the benchmark runs.
+_SCAN_SPECS = [ModelSpec(f) for f in Family] + [
+    ModelSpec(Family.ONE_WAY_CYCLE, {"n": 40}),
+    ModelSpec(Family.ONE_WAY_CYCLE, {"n": 60}),
+    ModelSpec(Family.BIRTH_DEATH, {"n": 100}),
+    ModelSpec(Family.QBD_TOY, {"blocks": 16, "blocksize": 5}),
+    ModelSpec(Family.TREE, {"n": 63}),
+    ModelSpec(Family.BATCH_V1, {"multiple": 3, "truncation": 40}),
+    ModelSpec(Family.BATCH_V2, {"truncation": 40}),
+    ModelSpec(Family.TWO_WAY_CYCLE, {"n": 60}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", _SCAN_SPECS, ids=lambda s: "-".join([s.family.value, *map(str, s.params.values())])
+)
+def test_dominator_scan_matches_sourced_cuts_on_families(spec):
+    c = generate(spec)
+    edges = cut_graph(c).edges
+    assert edges == _sourced_cut_pairs(c)
+    for i, j in sorted(edges)[:20]:
+        assert s_relation(c, i, j, sourced_cut(c, i, j)) == s_relation(c, i, j)
+
+
+@pytest.mark.parametrize("family", [Family.BIRTH_DEATH, Family.ONE_WAY_CYCLE, Family.TWO_WAY_CYCLE])
+def test_dominator_scan_keeps_pinned_edges_at_400_nodes(family):
+    spec = ModelSpec(family, {"n": 400})
+    c = generate(spec)
+    labels = c.graph.labels
+    edges = frozenset(frozenset((labels[a], labels[b])) for a, b in cut_graph(c).edges)
+    assert edges == expected_fixtures(spec).c1_edges
 
 
 # ---- cut sources ----
