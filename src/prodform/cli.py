@@ -21,12 +21,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .factors import Relation, factor_to_json, relation_to_json
-from .graph_core import DirectedGraph, NodeSet, is_strongly_connected
+from .graph_core import DirectedGraph, is_strongly_connected
 from .higher_level import (
+    CutHypergraph,
     broad_cut_search,
     higher_level_cut_graph,
     hypergraph_to_json,
-    narrow_second_level_cuts,
 )
 from .higher_level import sps_relation as _sps_relation
 from .models import Family, FixtureBundle, ModelSpec, expected_fixtures
@@ -40,7 +40,16 @@ from .numeric import (
     stationary,
     verify_relation,
 )
-from .product_form import ChainKind, FormalChain, cut_graph, is_jaf, s_relation, sourced_cut
+from .product_form import (
+    ChainKind,
+    Cut,
+    CutGraph,
+    FormalChain,
+    cut_graph,
+    is_jaf,
+    s_relation,
+    sourced_cut,
+)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -182,44 +191,63 @@ def _label_pair(c: FormalChain, a: int, b: int) -> list[str]:
     return sorted((c.graph.labels[a], c.graph.labels[b]))
 
 
-def _analysis(c: FormalChain, max_level: int) -> tuple[dict, list[Relation], list]:
-    """Shared analysis pipeline: report dict, all relations, all discovered cuts."""
-    labels = c.graph.labels
+@dataclass(frozen=True)
+class _Analysis:
+    """Everything ``analyze`` reports and ``verify`` checks, before formatting.
+
+    ``relations`` and ``cuts`` list the first-level ones in ``edge_order``,
+    then the level-2 ones in hyperedge order.
+    """
+
+    c1: CutGraph
+    edge_order: list[tuple[int, int]]
+    levels: list[CutHypergraph]
+    relations: list[Relation]
+    cuts: list[Cut]
+
+
+def _analysis(c: FormalChain, max_level: int) -> _Analysis:
+    """Shared analysis pipeline: cut graph, higher levels, all relations and cuts."""
     c1 = cut_graph(c)
     edge_order = sorted(c1.edges, key=lambda e: _label_pair(c, *e))
     cuts = [sourced_cut(c, a, b) for a, b in edge_order]
     relations = [s_relation(c, a, b, cut) for (a, b), cut in zip(edge_order, cuts)]
+    levels = higher_level_cut_graph(c, max_level, c1) if max_level >= 2 else []
+    for lv in levels:
+        if lv.level == 2:
+            relations.extend(
+                _sps_relation(c, h, min(h.source_i), min(h.source_j), c1)
+                for h in lv.hyperedges
+            )
+            cuts.extend(h.cut for h in lv.hyperedges)
+    return _Analysis(c1, edge_order, levels, relations, cuts)
+
+
+def _report_body(c: FormalChain, found: _Analysis) -> dict:
+    """The ``first_level`` and ``levels`` entries of the analyze report."""
+    labels = c.graph.labels
+    first_count = len(found.edge_order)
     first_level = {
-        "edges": [_label_pair(c, a, b) for a, b in edge_order],
-        "components": [sorted(labels[v] for v in comp) for comp in c1.components],
-        "relations": [relation_to_json(r, labels) for r in relations],
+        "edges": [_label_pair(c, a, b) for a, b in found.edge_order],
+        "components": [sorted(labels[v] for v in comp) for comp in found.c1.components],
+        "relations": [relation_to_json(r, labels) for r in found.relations[:first_count]],
     }
     levels = []
-    if max_level >= 2:
-        for lv in higher_level_cut_graph(c, max_level, c1):
-            entry = hypergraph_to_json(lv, labels)
-            entry["components"] = [
-                sorted(labels[v] for v in comp) for comp in lv.components
+    for lv in found.levels:
+        entry = hypergraph_to_json(lv, labels)
+        entry["components"] = [sorted(labels[v] for v in comp) for comp in lv.components]
+        if lv.level == 2:
+            entry["relations"] = [
+                relation_to_json(r, labels) for r in found.relations[first_count:]
             ]
-            if lv.level == 2:
-                deeper = [
-                    _sps_relation(c, h, min(h.source_i), min(h.source_j), c1)
-                    for h in lv.hyperedges
-                ]
-                entry["relations"] = [relation_to_json(r, labels) for r in deeper]
-                relations.extend(deeper)
-                cuts.extend(h.cut for h in lv.hyperedges)
-            levels.append(entry)
-    report = {
-        "first_level": first_level,
-        "levels": levels,
-    }
-    return report, relations, cuts
+        levels.append(entry)
+    return {"first_level": first_level, "levels": levels}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     doc, c, _ = _load(args.input)
-    body, _, _ = _analysis(c, args.max_level)
+    # The analysis stays a temporary, so it is freed before the report is encoded.
+    body = _report_body(c, _analysis(c, args.max_level))
     report = {
         "name": doc.name,
         "kind": doc.kind,
@@ -238,7 +266,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     doc, c, given = _load(args.input)
     labels = c.graph.labels
-    _, relations, cuts = _analysis(c, max_level=2)
+    found = _analysis(c, max_level=2)
+    relations, cuts = found.relations, found.cuts
     fault_name = None
     if args.fault is not None:
         if not relations:

@@ -6,6 +6,15 @@ components (each carrying a genuine cut of the chain) and sum-of-ratio
 relations between any two nodes drawn from the linked components. Merging
 components along hyperedges and rescanning lifts the construction level by
 level.
+
+One avoiding-ancestor closure decides a component pair (K1, K2). Let A be the
+ancestors of K1 avoiding K2. In a strongly connected chain every node reaches
+K1 or K2 before the other, so V - A lies inside K2's avoiding-ancestor set. A
+node of A outside K1 with an edge out of A therefore reaches K2 while avoiding
+K1, a joint ancestor; and any joint ancestor in A leaves A on its way to K2
+through such an edge. So the pair is free exactly when every source of A lies
+in K1, and then the cut is (A, V - A). The rescan skips pairs whose answer is
+already known; ``higher_level_cut_graph`` says which and why that is exact.
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ from .factors import (
     product_of,
     sum_of,
 )
-from .graph_core import NodeSet
+from .graph_core import NodeSet, ancestors_avoiding
 from .product_form import (
     Cut,
     CutGraph,
@@ -30,7 +39,6 @@ from .product_form import (
     _sources,
     cut_graph,
     is_jaf,
-    mutually_avoiding_ancestors,
     s_factors,
 )
 
@@ -71,13 +79,17 @@ class CutHypergraph:
 def _component_pair_edge(
     c: FormalChain, comps: tuple[NodeSet, ...], p: int, q: int
 ) -> HyperEdge | None:
+    g = c.graph
     k1, k2 = comps[p], comps[q]
-    side_a, side_b = mutually_avoiding_ancestors(c, k1, k2)
-    if not side_a.isdisjoint(side_b):
+    side_a = ancestors_avoiding(g, k1, k2)
+    side_b = side_a.complement()
+    src_a, src_b = _sources(g, side_a.mask, side_b.mask)
+    # A source of side_a outside k1 reaches k2 through side_b while avoiding
+    # k1, so it is a joint ancestor; without one, side_b is k2's own set.
+    if src_a & ~k1.mask:
         return None
-    src_a, src_b = _sources(c.graph, side_a.mask, side_b.mask)
-    source_i = NodeSet(src_a, c.graph.n)
-    source_j = NodeSet(src_b, c.graph.n)
+    source_i = NodeSet(src_a, g.n)
+    source_j = NodeSet(src_b, g.n)
     assert source_i and source_i.issubset(k1), "cut sources must sit inside the first component"
     assert source_j and source_j.issubset(k2), "cut sources must sit inside the second component"
     return HyperEdge(
@@ -89,24 +101,36 @@ def _component_pair_edge(
     )
 
 
-def _scan_pairs(c: FormalChain, comps: tuple[NodeSet, ...]) -> tuple[HyperEdge, ...]:
+def _scan_pairs(
+    c: FormalChain, comps: tuple[NodeSet, ...], settled: set[int]
+) -> tuple[HyperEdge, ...]:
+    """Hyperedges between component pairs, skipping pairs of two ``settled`` masks."""
     edges = []
     for p in range(len(comps)):
+        p_settled = comps[p].mask in settled
         for q in range(p + 1, len(comps)):
+            if p_settled and comps[q].mask in settled:
+                continue
             edge = _component_pair_edge(c, comps, p, q)
             if edge is not None:
                 edges.append(edge)
     return tuple(edges)
 
 
+def _singletons(comps: tuple[NodeSet, ...]) -> set[int]:
+    return {comp.mask for comp in comps if len(comp) == 1}
+
+
 def narrow_second_level_cuts(c: FormalChain, c1: CutGraph) -> tuple[HyperEdge, ...]:
     """All component pairs of the first-level graph that are free as whole sets.
 
     Each hit carries the cut spanned by the two components' mutually avoiding
-    ancestor sets. Quadratic in the component count, with one linear-time
-    freeness check per pair.
+    ancestor sets. Two singleton components are never free: a free pair of
+    single nodes is a first-level edge and would share a component. Every
+    other pair costs one linear-time freeness check, a single avoiding-ancestor
+    closure (see the module docstring).
     """
-    return _scan_pairs(c, c1.components)
+    return _scan_pairs(c, c1.components, _singletons(c1.components))
 
 
 def _merge_components(
@@ -140,6 +164,13 @@ def higher_level_cut_graph(
     Stops as soon as a level finds no hyperedge or everything has merged into
     one component; levels that find nothing are not reported. A caller that
     already holds ``cut_graph(c)`` passes it as ``c1``.
+
+    Each level rescans only pairs with at least one newly merged component.
+    At level 2 the singleton components are settled (two of them would be a
+    first-level edge); from level 3 on, every component the previous level
+    scanned is settled, because a pair of them was found not free there or
+    it would have merged. Skipping a settled pair therefore drops no
+    hyperedge, and the output equals a full rescan of every pair.
     """
     if max_level < 2:
         raise InvalidArgumentError("the recursion starts at level 2")
@@ -147,13 +178,15 @@ def higher_level_cut_graph(
         c1 = cut_graph(c)
     base: CutGraph | CutHypergraph = c1
     comps = c1.components
+    settled = _singletons(comps)
     levels: list[CutHypergraph] = []
     for level in range(2, max_level + 1):
         if len(comps) <= 1:
             break
-        edges = _scan_pairs(c, comps)
+        edges = _scan_pairs(c, comps, settled)
         if not edges:
             break
+        settled = {comp.mask for comp in comps}
         comps = _merge_components(comps, edges, c.graph.n)
         hypergraph = CutHypergraph(level=level, base=base, hyperedges=edges, components=comps)
         levels.append(hypergraph)
@@ -164,16 +197,15 @@ def higher_level_cut_graph(
 # ---- sum-of-ratio relations ----
 
 
-def _c1_path(edges: frozenset[tuple[int, int]], n: int, src: int, dst: int) -> list[int]:
-    if src == dst:
-        return [src]
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+def _c1_paths(adj: list[list[int]], src: int, targets: list[int]) -> dict[int, list[int]]:
+    """A shortest first-level path from ``src`` to each target.
+
+    Walks back from each target through its smallest neighbor one step
+    closer to ``src``, so every path is fixed by the BFS distances alone.
+    """
     dist = {src: 0}
     frontier = [src]
-    while frontier and dst not in dist:
+    while frontier:
         nxt = []
         for u in frontier:
             for v in adj[u]:
@@ -181,13 +213,16 @@ def _c1_path(edges: frozenset[tuple[int, int]], n: int, src: int, dst: int) -> l
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
-    if dst not in dist:
-        raise InvalidArgumentError("nodes are not connected in the first-level graph")
-    path = [dst]
-    while path[-1] != src:
-        here = path[-1]
-        path.append(min(v for v in adj[here] if dist.get(v) == dist[here] - 1))
-    return path[::-1]
+    paths = {}
+    for dst in targets:
+        if dst not in dist:
+            raise InvalidArgumentError("nodes are not connected in the first-level graph")
+        path = [dst]
+        while path[-1] != src:
+            here = path[-1]
+            path.append(min(v for v in adj[here] if dist.get(v) == dist[here] - 1))
+        paths[dst] = path[::-1]
+    return paths
 
 
 def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
@@ -198,23 +233,32 @@ def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
 
 def _side_factor(
     c: FormalChain,
-    c1: CutGraph,
+    adj: list[list[int]],
+    hops: dict[tuple[int, int], tuple[SumExpr, SumExpr]],
     star: int,
     sources: NodeSet,
     far_side: NodeSet,
 ) -> FactorExpr:
+    """One side's weighted flow sum, rewritten in ``star``'s weight.
+
+    ``hops`` caches the factor pair of every first-level hop already used.
+    """
+    members = sorted(sources)
+    paths = _c1_paths(adj, star, [node for node in members if node != star])
     terms: list[FactorExpr] = []
-    for node in sorted(sources):
+    for node in members:
         crossing = _crossing_sum(c, node, far_side)
         if node == star:
             terms.append(crossing)
             continue
-        path = _c1_path(c1.edges, c.graph.n, star, node)
+        path = paths[node]
         pairs = []
-        for a, b in zip(path, path[1:]):
-            pair = s_factors(c, a, b)
-            assert pair is not None, "first-level path hops are free pairs by construction"
-            pairs.append(pair)
+        for hop in zip(path, path[1:]):
+            if hop not in hops:
+                pair = s_factors(c, *hop)
+                assert pair is not None, "first-level path hops are free pairs by construction"
+                hops[hop] = pair
+            pairs.append(hops[hop])
         term = product_of(
             [(fwd, 1) for fwd, _ in pairs] + [(bwd, -1) for _, bwd in pairs] + [(crossing, 1)]
         )
@@ -248,8 +292,13 @@ def sps_relation(
         raise InvalidArgumentError(
             "the chosen members must belong to the hyperedge's two components"
         )
-    lhs = _side_factor(c, c1, i_star, h.source_i, h.cut.side_b)
-    rhs = _side_factor(c, c1, j_star, h.source_j, h.cut.side_a)
+    adj: list[list[int]] = [[] for _ in range(c.graph.n)]
+    for a, b in c1.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    hops: dict[tuple[int, int], tuple[SumExpr, SumExpr]] = {}
+    lhs = _side_factor(c, adj, hops, i_star, h.source_i, h.cut.side_b)
+    rhs = _side_factor(c, adj, hops, j_star, h.source_j, h.cut.side_a)
     return make_relation(i_star, j_star, lhs, rhs)
 
 

@@ -19,14 +19,17 @@ from prodform import (
     generate,
     higher_level_cut_graph,
     hypergraph_to_json,
+    ancestors_avoiding,
     is_jaf,
+    mutually_avoiding_ancestors,
     narrow_second_level_cuts,
     sps_relation,
 )
-from prodform.graph_core import DirectedGraph, NodeSet
+from prodform import higher_level
+from prodform.graph_core import DirectedGraph, NodeSet, is_strongly_connected
 from prodform.numeric import random_rates, stationary, verify_relation
 
-from util import random_strongly_connected
+from util import bipartition_sources, random_strongly_connected
 
 
 def _labels(c: FormalChain, s: NodeSet) -> frozenset[str]:
@@ -285,6 +288,141 @@ def test_broad_search_budget_is_adjustable():
     with pytest.raises(ResourceLimitError, match="5"):
         broad_cut_search(c, k1, k2, max_subset_size=5)
     assert broad_cut_search(c, k1, k2, max_subset_size=6)
+
+
+# ---- settled-pair rescan and one-closure freeness test ----
+
+
+def _full_rescan(c: FormalChain, max_level: int) -> list:
+    """The recursion without shortcuts: every pair, both closures, every level."""
+    g = c.graph
+    comps = [set(comp) for comp in cut_graph(c).components]
+    levels = []
+    for level in range(2, max_level + 1):
+        if len(comps) <= 1:
+            break
+        edges = []
+        for p in range(len(comps)):
+            for q in range(p + 1, len(comps)):
+                k1, k2 = NodeSet.of(comps[p], g.n), NodeSet.of(comps[q], g.n)
+                side_a, side_b = mutually_avoiding_ancestors(c, k1, k2)
+                if side_a.isdisjoint(side_b):
+                    src_a, src_b = bipartition_sources(g, set(side_a))
+                    edges.append((p, q, set(side_a), set(side_b), src_a, src_b))
+        if not edges:
+            break
+        group = list(range(len(comps)))
+        for p, q, *_ in edges:
+            old, new = group[q], group[p]
+            group = [new if x == old else x for x in group]
+        merged: dict[int, set[int]] = {}
+        for k, comp in enumerate(comps):
+            merged.setdefault(group[k], set()).update(comp)
+        comps = sorted(merged.values(), key=min)
+        levels.append((level, edges, comps))
+    return levels
+
+
+def _recursion_as_sets(c: FormalChain, max_level: int) -> list:
+    levels = []
+    for lv in higher_level_cut_graph(c, max_level):
+        edges = []
+        for h in lv.hyperedges:
+            assert h.cut.source_a == h.source_i and h.cut.source_b == h.source_j
+            edges.append(
+                (h.comp_i, h.comp_j, set(h.cut.side_a), set(h.cut.side_b), set(h.source_i), set(h.source_j))
+            )
+        levels.append((lv.level, edges, [set(comp) for comp in lv.components]))
+    return levels
+
+
+def _random_edge_chain(rng: random.Random, n: int) -> FormalChain:
+    density = rng.uniform(0.15, 0.5)
+    while True:
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+        g = DirectedGraph([str(i) for i in range(n)], edges)
+        if is_strongly_connected(g):
+            return FormalChain(g)
+
+
+def _random_chain(rng: random.Random, k: int) -> FormalChain:
+    n = rng.randint(2, 12)
+    if k % 2:
+        return FormalChain(random_strongly_connected(rng, n, rng.uniform(0.0, 0.4)))
+    return _random_edge_chain(rng, n)
+
+
+def test_recursion_matches_full_rescan_on_random_chains():
+    rng = random.Random(3303)
+    deepest = 0
+    for k in range(1000):
+        c = _random_chain(rng, k)
+        expected = _full_rescan(c, 8)
+        assert _recursion_as_sets(c, 8) == expected
+        deepest = max(deepest, len(expected))
+    # The sample must reach the levels where the settled set skips pairs.
+    assert deepest >= 3
+
+
+# Every family at its default size, plus the chain sizes the benchmark runs.
+_RESCAN_SPECS = [ModelSpec(f) for f in Family] + [
+    ModelSpec(Family.BATCH_V1, {"multiple": 3, "truncation": 40}),
+    ModelSpec(Family.BATCH_V2, {"truncation": 40}),
+    ModelSpec(Family.TWO_WAY_CYCLE, {"n": 60}),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", _RESCAN_SPECS, ids=lambda s: "-".join([s.family.value, *map(str, s.params.values())])
+)
+def test_recursion_matches_full_rescan_on_families(spec):
+    c = generate(spec)
+    assert _recursion_as_sets(c, 8) == _full_rescan(c, 8)
+
+
+def test_one_closure_freeness_agrees_with_is_jaf():
+    rng = random.Random(4404)
+    verdicts = set()
+    for k in range(600):
+        c = _random_chain(rng, k)
+        n = c.graph.n
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        cut = rng.randint(1, n - 1)
+        first = rng.sample(nodes[:cut], rng.randint(1, cut))
+        second = rng.sample(nodes[cut:], rng.randint(1, n - cut))
+        k1, k2 = NodeSet.of(first, n), NodeSet.of(second, n)
+        edge = higher_level._component_pair_edge(c, (k1, k2), 0, 1)
+        free = is_jaf(c, k1, k2)
+        assert (edge is not None) == free
+        if free:
+            assert edge.cut.side_b == ancestors_avoiding(c.graph, k2, k1)
+            assert edge.cut.side_a == ancestors_avoiding(c.graph, k1, k2)
+        verdicts.add(free)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec, closures",
+    [
+        (ModelSpec(Family.TWO_WAY_CYCLE, {"n": 60}), 0),
+        (ModelSpec(Family.BATCH_V2, {"truncation": 40}), 926),
+        (ModelSpec(Family.BATCH_V1, {"multiple": 3, "truncation": 40}), 351),
+    ],
+    ids=["twoway-60", "batchv2-40", "batchv1-3-40"],
+)
+def test_recursion_scan_counts_are_pinned(monkeypatch, spec, closures):
+    c = generate(spec)
+    c1 = cut_graph(c)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ancestors_avoiding(*args)
+
+    monkeypatch.setattr(higher_level, "ancestors_avoiding", counted)
+    higher_level_cut_graph(c, 6, c1)
+    assert len(calls) == closures
 
 
 # ---- serialization ----
