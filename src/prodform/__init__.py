@@ -24,7 +24,6 @@ from .factors import (
     chain_relations,
     circuit_stats,
     classify,
-    compose_ps,
     evaluate,
     factor_from_json,
     factor_to_json,
@@ -36,20 +35,19 @@ from .factors import (
 )
 from .graph_core import (
     DirectedGraph,
-    NodeId,
     NodeSet,
     ancestors,
     ancestors_avoiding,
-    ancestors_instrumented,
     connectivity_witness,
-    descendants,
     is_strongly_connected,
     set_avoiding_subgraph,
     shortest_path,
 )
 from .higher_level import (
+    Analysis,
     CutHypergraph,
     HyperEdge,
+    analyze,
     broad_cut_search,
     higher_level_cut_graph,
     hypergraph_to_json,
@@ -83,6 +81,7 @@ from .product_form import (
     FormalChain,
     clique_check,
     clique_territory_cut,
+    compose_ps,
     cut_graph,
     cut_source,
     is_jaf,

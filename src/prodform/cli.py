@@ -23,12 +23,12 @@ from .errors import (
 from .factors import Relation, factor_to_json, relation_to_json
 from .graph_core import DirectedGraph, is_strongly_connected
 from .higher_level import (
-    CutHypergraph,
+    Analysis,
+    analyze,
     broad_cut_search,
     higher_level_cut_graph,
     hypergraph_to_json,
 )
-from .higher_level import sps_relation as _sps_relation
 from .models import Family, FixtureBundle, ModelSpec, expected_fixtures
 from .models import generate as generate_model
 from .numeric import (
@@ -40,24 +40,13 @@ from .numeric import (
     stationary,
     verify_relation,
 )
-from .product_form import (
-    ChainKind,
-    Cut,
-    CutGraph,
-    FormalChain,
-    cut_graph,
-    is_jaf,
-    s_relation,
-    sourced_cut,
-)
+from .product_form import ChainKind, FormalChain, cut_graph, is_jaf
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
 EXIT_STRUCTURE = 3
 EXIT_BUDGET = 4
-
-_BROAD_PAIR_BUDGET = 12
 
 # ---- graph documents ----
 
@@ -168,12 +157,7 @@ def _load(path: str) -> tuple[GraphDocument, FormalChain, RateAssignment | None]
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -191,39 +175,7 @@ def _label_pair(c: FormalChain, a: int, b: int) -> list[str]:
     return sorted((c.graph.labels[a], c.graph.labels[b]))
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """Everything ``analyze`` reports and ``verify`` checks, before formatting.
-
-    ``relations`` and ``cuts`` list the first-level ones in ``edge_order``,
-    then the level-2 ones in hyperedge order.
-    """
-
-    c1: CutGraph
-    edge_order: list[tuple[int, int]]
-    levels: list[CutHypergraph]
-    relations: list[Relation]
-    cuts: list[Cut]
-
-
-def _analysis(c: FormalChain, max_level: int) -> _Analysis:
-    """Shared analysis pipeline: cut graph, higher levels, all relations and cuts."""
-    c1 = cut_graph(c)
-    edge_order = sorted(c1.edges, key=lambda e: _label_pair(c, *e))
-    cuts = [sourced_cut(c, a, b) for a, b in edge_order]
-    relations = [s_relation(c, a, b, cut) for (a, b), cut in zip(edge_order, cuts)]
-    levels = higher_level_cut_graph(c, max_level, c1) if max_level >= 2 else []
-    for lv in levels:
-        if lv.level == 2:
-            relations.extend(
-                _sps_relation(c, h, min(h.source_i), min(h.source_j), c1)
-                for h in lv.hyperedges
-            )
-            cuts.extend(h.cut for h in lv.hyperedges)
-    return _Analysis(c1, edge_order, levels, relations, cuts)
-
-
-def _report_body(c: FormalChain, found: _Analysis) -> dict:
+def _report_body(c: FormalChain, found: Analysis) -> dict:
     """The ``first_level`` and ``levels`` entries of the analyze report."""
     labels = c.graph.labels
     first_count = len(found.edge_order)
@@ -247,7 +199,7 @@ def _report_body(c: FormalChain, found: _Analysis) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     doc, c, _ = _load(args.input)
     # The analysis stays a temporary, so it is freed before the report is encoded.
-    body = _report_body(c, _analysis(c, args.max_level))
+    body = _report_body(c, analyze(c, args.max_level))
     report = {
         "name": doc.name,
         "kind": doc.kind,
@@ -265,8 +217,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc, c, given = _load(args.input)
+    if args.seeds < 0:
+        raise InvalidArgumentError(f"--seeds must be nonnegative, got {args.seeds}")
+    if given is None and args.seeds == 0:
+        raise InvalidArgumentError("the document has no rates, so --seeds must be at least 1")
     labels = c.graph.labels
-    found = _analysis(c, max_level=2)
+    found = analyze(c, max_level=2)
     relations, cuts = found.relations, found.cuts
     fault_name = None
     if args.fault is not None:
@@ -447,11 +403,6 @@ def _broad_pair_scan(c: FormalChain) -> tuple[list[dict], list[str], list[str]]:
     for p in range(len(comps)):
         for q in range(p + 1, len(comps)):
             k1, k2 = comps[p], comps[q]
-            if len(k1) + len(k2) > _BROAD_PAIR_BUDGET:
-                raise ResourceLimitError(
-                    f"component pair spans {len(k1) + len(k2)} nodes; "
-                    f"the subset-search budget is {_BROAD_PAIR_BUDGET}"
-                )
             members = broad_cut_search(c, k1, k2)
             if not members:
                 continue
@@ -491,6 +442,13 @@ def _broad_pair_scan(c: FormalChain) -> tuple[list[dict], list[str], list[str]]:
     return pair_reports, conjecture1, conjecture2
 
 
+def _conjecture_summary(counter1: list[str], counter2: list[str]) -> str:
+    return "; ".join(
+        f"{len(found)} Conjecture {k} counterexamples" if found else f"no Conjecture {k} counterexample"
+        for k, found in ((1, counter1), (2, counter2))
+    )
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.input == "random":
         rng = random.Random(args.seed)
@@ -508,22 +466,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             pairs_with_members += len(reports)
             counter1.extend(c1_bad)
             counter2.extend(c2_bad)
-        summary = []
         if args.mode == "cuts":
-            summary.append(
-                "no sourced-cut mismatch" if not counter1 else f"{len(counter1)} mismatches"
-            )
+            summary = "no sourced-cut mismatch" if not counter1 else f"{len(counter1)} mismatches"
         else:
-            summary.append(
-                "no Conjecture 1 counterexample"
-                if not counter1
-                else f"{len(counter1)} Conjecture 1 counterexamples"
-            )
-            summary.append(
-                "no Conjecture 2 counterexample"
-                if not counter2
-                else f"{len(counter2)} Conjecture 2 counterexamples"
-            )
+            summary = _conjecture_summary(counter1, counter2)
         report = {
             "mode": args.mode,
             "samples": args.samples,
@@ -531,7 +477,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "pairs_with_members": pairs_with_members,
             "findings": {"conjecture1": counter1, "conjecture2": counter2},
-            "summary": "; ".join(summary),
+            "summary": summary,
         }
         _write_json(report, args.out)
         return EXIT_OK
@@ -545,12 +491,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "mode": "broad",
         "pairs": reports,
         "findings": {"conjecture1": c1_bad, "conjecture2": c2_bad},
-        "summary": "; ".join(
-            [
-                "no Conjecture 1 counterexample" if not c1_bad else f"{len(c1_bad)} Conjecture 1 counterexamples",
-                "no Conjecture 2 counterexample" if not c2_bad else f"{len(c2_bad)} Conjecture 2 counterexamples",
-            ]
-        ),
+        "summary": _conjecture_summary(c1_bad, c2_bad),
     }
     _write_json(report, args.out)
     return EXIT_OK

@@ -242,44 +242,6 @@ def make_relation(
     return Relation(lhs_node, rhs_node, lhs_factor, rhs_factor, level)
 
 
-def compose_ps(path: Sequence[int], chain) -> Relation:
-    """Relation between the endpoints of a path in the cut graph.
-
-    Multiplies the per-hop factor pairs along ``path``: with hops
-    ``k_1, ..., k_{d+1}`` the identity is
-    ``pi[k_1] * prod_p f(k_p, k_{p+1}) = pi[k_{d+1}] * prod_p f(k_{p+1}, k_p)``.
-    Consecutive path nodes must admit a sourced cut (be joint-ancestor free);
-    a single hop yields the plain width-level relation of that edge.
-
-    The caller is responsible for passing a shortest cut-graph path when the
-    closed-form circuit-size guarantee (depth 2, size 1 + d + total width) is
-    wanted; longer valid paths still give correct relations.
-    """
-    from .product_form import s_factors
-
-    if len(path) < 2:
-        raise InvalidArgumentError("a path relation needs at least two nodes")
-    if len(set(path)) != len(path):
-        raise InvalidArgumentError("path nodes must be distinct")
-    forward: list[FactorExpr] = []
-    backward: list[FactorExpr] = []
-    for a, b in zip(path, path[1:]):
-        pair = s_factors(chain, a, b)
-        if pair is None:
-            raise InvalidArgumentError(
-                f"nodes {chain.graph.labels[a]!r} and {chain.graph.labels[b]!r} share a joint "
-                "ancestor; consecutive path nodes must be cut-graph neighbors"
-            )
-        forward.append(pair[0])
-        backward.append(pair[1])
-    if len(forward) == 1:
-        lhs, rhs = forward[0], backward[0]
-    else:
-        lhs = product_of((f, 1) for f in forward)
-        rhs = product_of((f, 1) for f in backward)
-    return make_relation(path[0], path[-1], lhs, rhs)
-
-
 def chain_relations(first: Relation, second: Relation) -> Relation:
     """Join two relations sharing exactly one node, eliminating its weight.
 

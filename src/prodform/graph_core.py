@@ -7,17 +7,8 @@ Parallel edges are rejected at construction; self-loops are permitted.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from typing import NamedTuple
 
 from .errors import InvalidArgumentError
-
-
-class NodeId(NamedTuple):
-    """A node's dense index together with its human-readable label."""
-
-    index: int
-    label: str
-
 
 # ---- node sets ----
 
@@ -182,9 +173,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edge_list)
 
-    def node(self, index: int) -> NodeId:
-        return NodeId(index, self.labels[index])
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.out_mask[u] >> v & 1)
 
@@ -259,40 +247,6 @@ def ancestors_avoiding(g: DirectedGraph, seed: NodeSet, avoid: NodeSet) -> NodeS
     return NodeSet(_closure(g.in_mask, seed.mask, (1 << g.n) - 1 & ~avoid.mask), g.n)
 
 
-def ancestors_instrumented(
-    g: DirectedGraph, seed: NodeSet, avoid: NodeSet | None = None
-) -> tuple[NodeSet, dict[tuple[int, int], int]]:
-    """Adjacency-list variant of :func:`ancestors_avoiding` that counts edge visits.
-
-    Returns the ancestor set and a map ``(u, v) -> times the edge was inspected``.
-    Exists so tests can assert the every-edge-at-most-once property on a route
-    independent of the bitmask implementation.
-    """
-    if not seed:
-        raise InvalidArgumentError("ancestor query requires a nonempty seed")
-    avoid_mask = avoid.mask if avoid is not None else 0
-    if seed.mask & avoid_mask:
-        raise InvalidArgumentError("seed and avoided set overlap")
-    visits: dict[tuple[int, int], int] = {}
-    seen = set(seed)
-    queue = list(seed)
-    while queue:
-        v = queue.pop()
-        for u in g.in_adj[v]:
-            visits[(u, v)] = visits.get((u, v), 0) + 1
-            if u not in seen and not avoid_mask >> u & 1:
-                seen.add(u)
-                queue.append(u)
-    return NodeSet.of(seen, g.n), visits
-
-
-def descendants(g: DirectedGraph, seed: NodeSet) -> NodeSet:
-    """All nodes reachable from ``seed`` by a directed path (dual of :func:`ancestors`)."""
-    if not seed:
-        raise InvalidArgumentError("reachability query requires a nonempty seed")
-    return NodeSet(_closure(g.out_mask, seed.mask, (1 << g.n) - 1), g.n)
-
-
 # ---- derived operations ----
 
 
@@ -357,37 +311,67 @@ def shortest_path(
         raise InvalidArgumentError("path endpoints out of range")
     if avoid_mask >> src & 1 or avoid_mask >> dst & 1:
         raise InvalidArgumentError("path endpoints must not be avoided")
-    if src == dst:
-        return [src]
-    allowed = (1 << g.n) - 1 & ~avoid_mask
-    # Distance-to-dst levels via a reverse frontier BFS.
-    dist = [-1] * g.n
-    dist[dst] = 0
-    seen = 1 << dst
-    frontier = seen
-    level = 0
-    while frontier:
-        level += 1
-        step = 0
-        f = frontier
-        while f:
-            low = f & -f
-            step |= g.in_mask[low.bit_length() - 1]
-            f ^= low
-        frontier = step & allowed & ~seen
-        seen |= frontier
-        f = frontier
-        while f:
-            low = f & -f
-            dist[low.bit_length() - 1] = level
-            f ^= low
+    dist = _bfs_levels(g.in_adj, dst, ~avoid_mask)
     if dist[src] < 0:
         return None
-    path = [src]
-    here = src
-    while here != dst:
-        here = next(
-            v for v in g.out_adj[here] if allowed >> v & 1 and dist[v] == dist[here] - 1
-        )
+    return _descend(g.out_adj, dist, src)
+
+
+# ---- traversal primitives ----
+
+
+def _bfs_levels(adj: Sequence[Sequence[int]], start: int, allowed: int = -1) -> list[int]:
+    """Hop count from ``start`` to every node along ``adj``, -1 where unreachable.
+
+    Only nodes in the ``allowed`` bitmask are entered after ``start``.
+    """
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] < 0 and allowed >> v & 1:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def _descend(adj: Sequence[Sequence[int]], dist: Sequence[int], here: int) -> list[int]:
+    """Walk from ``here`` to the BFS start, each step to the smallest neighbor one level closer."""
+    path = [here]
+    while dist[here]:
+        here = min(v for v in adj[here] if dist[v] == dist[here] - 1)
         path.append(here)
     return path
+
+
+def _components(masks: Sequence[int], links: Iterable[tuple[int, int]]) -> list[int]:
+    """Union of ``masks`` over each connected group of items joined by index ``links``.
+
+    The groups come out ordered by their lowest node.
+    """
+    adj: list[list[int]] = [[] for _ in masks]
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * len(masks)
+    merged = []
+    for start in range(len(masks)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        mask = 0
+        while stack:
+            u = stack.pop()
+            mask |= masks[u]
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        merged.append(mask)
+    merged.sort(key=lambda m: m & -m)
+    return merged

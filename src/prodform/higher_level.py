@@ -15,6 +15,9 @@ K1, a joint ancestor; and any joint ancestor in A leaves A on its way to K2
 through such an edge. So the pair is free exactly when every source of A lies
 in K1, and then the cut is (A, V - A). The rescan skips pairs whose answer is
 already known; ``higher_level_cut_graph`` says which and why that is exact.
+
+``analyze`` is the whole pipeline behind the command line's ``analyze`` and
+``verify``: the cut graph, the levels, and every relation and cut they check.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .factors import (
     product_of,
     sum_of,
 )
-from .graph_core import NodeSet, ancestors_avoiding
+from .graph_core import NodeSet, _bfs_levels, _components, _descend, ancestors_avoiding
 from .product_form import (
     Cut,
     CutGraph,
@@ -39,7 +42,8 @@ from .product_form import (
     _sources,
     cut_graph,
     is_jaf,
-    s_factors,
+    s_relation,
+    sourced_cut,
 )
 
 _BROAD_SEARCH_BUDGET = 12
@@ -68,7 +72,6 @@ class CutHypergraph:
     """One level of the recursion: its hyperedges and the merged partition."""
 
     level: int
-    base: CutGraph | CutHypergraph
     hyperedges: tuple[HyperEdge, ...]
     components: tuple[NodeSet, ...]
 
@@ -133,29 +136,6 @@ def narrow_second_level_cuts(c: FormalChain, c1: CutGraph) -> tuple[HyperEdge, .
     return _scan_pairs(c, c1.components, _singletons(c1.components))
 
 
-def _merge_components(
-    comps: tuple[NodeSet, ...], edges: tuple[HyperEdge, ...], n: int
-) -> tuple[NodeSet, ...]:
-    parent = list(range(len(comps)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        a, b = find(e.comp_i), find(e.comp_j)
-        if a != b:
-            parent[b] = a
-    masks: dict[int, int] = {}
-    for idx, comp in enumerate(comps):
-        masks.setdefault(find(idx), 0)
-        masks[find(idx)] |= comp.mask
-    merged = sorted(masks.values(), key=lambda m: m & -m)
-    return tuple(NodeSet(m, n) for m in merged)
-
-
 def higher_level_cut_graph(
     c: FormalChain, max_level: int, c1: CutGraph | None = None
 ) -> list[CutHypergraph]:
@@ -176,7 +156,6 @@ def higher_level_cut_graph(
         raise InvalidArgumentError("the recursion starts at level 2")
     if c1 is None:
         c1 = cut_graph(c)
-    base: CutGraph | CutHypergraph = c1
     comps = c1.components
     settled = _singletons(comps)
     levels: list[CutHypergraph] = []
@@ -187,42 +166,25 @@ def higher_level_cut_graph(
         if not edges:
             break
         settled = {comp.mask for comp in comps}
-        comps = _merge_components(comps, edges, c.graph.n)
-        hypergraph = CutHypergraph(level=level, base=base, hyperedges=edges, components=comps)
-        levels.append(hypergraph)
-        base = hypergraph
+        merged = _components([comp.mask for comp in comps], [(e.comp_i, e.comp_j) for e in edges])
+        comps = tuple(NodeSet(m, c.graph.n) for m in merged)
+        levels.append(CutHypergraph(level=level, hyperedges=edges, components=comps))
     return levels
 
 
 # ---- sum-of-ratio relations ----
 
+# The factor pair of each ordered first-level edge (a, b): (f_ab, f_ba).
+_HopFactors = dict[tuple[int, int], tuple[FactorExpr, FactorExpr]]
 
-def _c1_paths(adj: list[list[int]], src: int, targets: list[int]) -> dict[int, list[int]]:
-    """A shortest first-level path from ``src`` to each target.
 
-    Walks back from each target through its smallest neighbor one step
-    closer to ``src``, so every path is fixed by the BFS distances alone.
-    """
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    paths = {}
-    for dst in targets:
-        if dst not in dist:
-            raise InvalidArgumentError("nodes are not connected in the first-level graph")
-        path = [dst]
-        while path[-1] != src:
-            here = path[-1]
-            path.append(min(v for v in adj[here] if dist.get(v) == dist[here] - 1))
-        paths[dst] = path[::-1]
-    return paths
+def _hop_factors(relations: Sequence[Relation]) -> _HopFactors:
+    """Both orientations of every first-level relation's factor pair."""
+    hops: _HopFactors = {}
+    for r in relations:
+        hops[r.lhs_node, r.rhs_node] = (r.lhs_factor, r.rhs_factor)
+        hops[r.rhs_node, r.lhs_node] = (r.rhs_factor, r.lhs_factor)
+    return hops
 
 
 def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
@@ -234,36 +196,43 @@ def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
 def _side_factor(
     c: FormalChain,
     adj: list[list[int]],
-    hops: dict[tuple[int, int], tuple[SumExpr, SumExpr]],
+    hops: _HopFactors,
     star: int,
     sources: NodeSet,
     far_side: NodeSet,
 ) -> FactorExpr:
     """One side's weighted flow sum, rewritten in ``star``'s weight.
 
-    ``hops`` caches the factor pair of every first-level hop already used.
+    Each source's weight is carried to ``star`` along a shortest first-level
+    path, stepping to the smallest neighbor one level closer to ``star``.
     """
-    members = sorted(sources)
-    paths = _c1_paths(adj, star, [node for node in members if node != star])
+    dist = _bfs_levels(adj, star)
     terms: list[FactorExpr] = []
-    for node in members:
+    for node in sorted(sources):
         crossing = _crossing_sum(c, node, far_side)
         if node == star:
             terms.append(crossing)
             continue
-        path = paths[node]
-        pairs = []
-        for hop in zip(path, path[1:]):
-            if hop not in hops:
-                pair = s_factors(c, *hop)
-                assert pair is not None, "first-level path hops are free pairs by construction"
-                hops[hop] = pair
-            pairs.append(hops[hop])
+        if dist[node] < 0:
+            raise InvalidArgumentError("nodes are not connected in the first-level graph")
+        path = _descend(adj, dist, node)[::-1]
+        pairs = [hops[hop] for hop in zip(path, path[1:])]
         term = product_of(
             [(fwd, 1) for fwd, _ in pairs] + [(bwd, -1) for _, bwd in pairs] + [(crossing, 1)]
         )
         terms.append(term)
     return sum_of(terms)
+
+
+def _sps_relation(
+    c: FormalChain, h: HyperEdge, i_star: int, j_star: int, hops: _HopFactors
+) -> Relation:
+    adj: list[list[int]] = [[] for _ in range(c.graph.n)]
+    for a, b in hops:
+        adj[a].append(b)
+    lhs = _side_factor(c, adj, hops, i_star, h.source_i, h.cut.side_b)
+    rhs = _side_factor(c, adj, hops, j_star, h.source_j, h.cut.side_a)
+    return make_relation(i_star, j_star, lhs, rhs)
 
 
 def sps_relation(
@@ -292,37 +261,69 @@ def sps_relation(
         raise InvalidArgumentError(
             "the chosen members must belong to the hyperedge's two components"
         )
-    adj: list[list[int]] = [[] for _ in range(c.graph.n)]
-    for a, b in c1.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    hops: dict[tuple[int, int], tuple[SumExpr, SumExpr]] = {}
-    lhs = _side_factor(c, adj, hops, i_star, h.source_i, h.cut.side_b)
-    rhs = _side_factor(c, adj, hops, j_star, h.source_j, h.cut.side_a)
-    return make_relation(i_star, j_star, lhs, rhs)
+    # First-level paths stay inside their component, so only these two need factors.
+    linked = comps[h.comp_i] | comps[h.comp_j]
+    hops = _hop_factors([s_relation(c, a, b) for a, b in c1.edges if a in linked])
+    return _sps_relation(c, h, i_star, j_star, hops)
+
+
+# ---- the analysis pipeline ----
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything ``analyze`` reports and ``verify`` checks, before formatting.
+
+    ``edge_order`` sorts the first-level edges by their label pairs.
+    ``relations`` and ``cuts`` list the first-level ones in ``edge_order``,
+    then the level-2 ones in hyperedge order.
+    """
+
+    c1: CutGraph
+    edge_order: list[tuple[int, int]]
+    levels: list[CutHypergraph]
+    relations: list[Relation]
+    cuts: list[Cut]
+
+
+def analyze(c: FormalChain, max_level: int) -> Analysis:
+    """Cut graph, levels up to ``max_level``, and every first- and second-level relation.
+
+    Each first-level cut is built once; the level-2 relations take their
+    per-hop factors from the first-level relations.
+    """
+    labels = c.graph.labels
+    c1 = cut_graph(c)
+    edge_order = sorted(c1.edges, key=lambda e: sorted((labels[e[0]], labels[e[1]])))
+    cuts = [sourced_cut(c, a, b) for a, b in edge_order]
+    relations = [s_relation(c, a, b, cut) for (a, b), cut in zip(edge_order, cuts)]
+    levels = higher_level_cut_graph(c, max_level, c1) if max_level >= 2 else []
+    if levels:
+        hops = _hop_factors(relations)
+        second = levels[0].hyperedges
+        relations.extend(
+            _sps_relation(c, h, min(h.source_i), min(h.source_j), hops) for h in second
+        )
+        cuts.extend(h.cut for h in second)
+    return Analysis(c1, edge_order, levels, relations, cuts)
 
 
 # ---- broad search ----
 
 
-def broad_cut_search(
-    c: FormalChain,
-    k1: NodeSet,
-    k2: NodeSet,
-    max_subset_size: int = _BROAD_SEARCH_BUDGET,
-) -> list[tuple[NodeSet, NodeSet]]:
+def broad_cut_search(c: FormalChain, k1: NodeSet, k2: NodeSet) -> list[tuple[NodeSet, NodeSet]]:
     """Every free pair of nonempty subsets (I, J) with I within k1 and J within k2.
 
     Exhaustive over both powersets, so the two sets together may span at most
-    ``max_subset_size`` nodes; larger inputs are refused outright rather than
-    silently truncated. Results are sorted by (I, J) masks for determinism.
+    ``_BROAD_SEARCH_BUDGET`` nodes; larger inputs are refused outright rather
+    than silently truncated. Results are sorted by (I, J) masks for determinism.
     """
     if not k1 or not k2 or not k1.isdisjoint(k2):
         raise InvalidArgumentError("component sets must be nonempty and disjoint")
     total = len(k1) + len(k2)
-    if total > max_subset_size:
+    if total > _BROAD_SEARCH_BUDGET:
         raise ResourceLimitError(
-            f"subset search over {total} nodes exceeds the budget of {max_subset_size}"
+            f"subset search over {total} nodes exceeds the budget of {_BROAD_SEARCH_BUDGET}"
         )
     n = c.graph.n
     members_1 = sorted(k1)

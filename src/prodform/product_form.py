@@ -13,11 +13,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NotStronglyConnectedError
-from .factors import Relation, SumExpr, RateAtom, make_relation, sum_of
+from .factors import FactorExpr, Relation, SumExpr, RateAtom, make_relation, product_of, sum_of
 from .graph_core import (
     DirectedGraph,
     NodeSet,
     _closure,
+    _components,
     ancestors_avoiding,
     connectivity_witness,
 )
@@ -72,15 +73,8 @@ class Cut:
 class CutGraph:
     """The undirected graph of node pairs admitting a sourced cut, plus its components."""
 
-    base: FormalChain
     edges: frozenset[tuple[int, int]]
     components: tuple[NodeSet, ...]
-    component_of: tuple[int, ...]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(b if a == v else a for a, b in self.edges if v in (a, b))
-        )
 
 
 def mutually_avoiding_ancestors(
@@ -189,6 +183,42 @@ def s_relation(c: FormalChain, i: int, j: int, cut: Cut | None = None) -> Relati
     return make_relation(i, j, pair[0], pair[1])
 
 
+def compose_ps(path: Sequence[int], chain: FormalChain) -> Relation:
+    """Relation between the endpoints of a path in the cut graph.
+
+    Multiplies the per-hop factor pairs along ``path``: with hops
+    ``k_1, ..., k_{d+1}`` the identity is
+    ``pi[k_1] * prod_p f(k_p, k_{p+1}) = pi[k_{d+1}] * prod_p f(k_{p+1}, k_p)``.
+    Consecutive path nodes must admit a sourced cut (be joint-ancestor free);
+    a single hop yields the plain width-level relation of that edge.
+
+    The caller is responsible for passing a shortest cut-graph path when the
+    closed-form circuit-size guarantee (depth 2, size 1 + d + total width) is
+    wanted; longer valid paths still give correct relations.
+    """
+    if len(path) < 2:
+        raise InvalidArgumentError("a path relation needs at least two nodes")
+    if len(set(path)) != len(path):
+        raise InvalidArgumentError("path nodes must be distinct")
+    forward: list[FactorExpr] = []
+    backward: list[FactorExpr] = []
+    for a, b in zip(path, path[1:]):
+        pair = s_factors(chain, a, b)
+        if pair is None:
+            raise InvalidArgumentError(
+                f"nodes {chain.graph.labels[a]!r} and {chain.graph.labels[b]!r} share a joint "
+                "ancestor; consecutive path nodes must be cut-graph neighbors"
+            )
+        forward.append(pair[0])
+        backward.append(pair[1])
+    if len(forward) == 1:
+        lhs, rhs = forward[0], backward[0]
+    else:
+        lhs = product_of((f, 1) for f in forward)
+        rhs = product_of((f, 1) for f in backward)
+    return make_relation(path[0], path[-1], lhs, rhs)
+
+
 def _dominator_subtree_sizes(
     succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]], root: int
 ) -> list[int]:
@@ -280,8 +310,8 @@ def cut_graph(c: FormalChain) -> CutGraph:
     per tree rather than n masks. That costs one Lengauer-Tarjan tree per
     root, O(|V| |E| log |V|) in all, plus |V|^2 / 2 additions.
     ``sourced_cut`` keeps the per-pair closures as an independent route.
-    Components are computed eagerly, and every node appears in one, isolated
-    nodes as singletons.
+    Components are computed eagerly, ordered by their lowest node, and every
+    node appears in one, isolated nodes as singletons.
     """
     g = c.graph
     n = g.n
@@ -292,33 +322,8 @@ def cut_graph(c: FormalChain) -> CutGraph:
         for j in range(i + 1, n)
         if sizes[i][j] + sizes[j][i] == n
     ]
-    # connected components over the undirected edge set
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    component_of = [-1] * n
-    components: list[NodeSet] = []
-    for start in range(n):
-        if component_of[start] >= 0:
-            continue
-        stack = [start]
-        component_of[start] = len(components)
-        members = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if component_of[v] < 0:
-                    component_of[v] = len(components)
-                    members.append(v)
-                    stack.append(v)
-        components.append(NodeSet.of(members, n))
-    return CutGraph(
-        base=c,
-        edges=frozenset(edges),
-        components=tuple(components),
-        component_of=tuple(component_of),
-    )
+    components = _components([1 << v for v in range(n)], edges)
+    return CutGraph(frozenset(edges), tuple(NodeSet(m, n) for m in components))
 
 
 # ---- cliques ----

@@ -232,6 +232,19 @@ def test_verify_uses_document_rates_when_present(tmp_path):
     assert cli.main(["verify", str(doc), "--seeds", "2", "--out", out]) == cli.EXIT_OK
     report = _read_json(out)
     assert report["assignments"] == ["document", "seed 0", "seed 1"]
+    assert cli.main(["verify", str(doc), "--seeds", "0", "--out", out]) == cli.EXIT_OK
+    assert _read_json(out)["assignments"] == ["document"]
+    assert cli.main(["verify", str(doc), "--seeds", "-1"]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_refuses_to_check_nothing(tmp_path, capsys, seeds: str):
+    path = _generate(tmp_path, "bd", "--n", "5")  # no rates in the document
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--seeds", seeds]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seeds" in captured.err
 
 
 def test_verify_covers_second_level_cuts(tmp_path):

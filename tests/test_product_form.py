@@ -247,7 +247,6 @@ def test_cut_graph_of_a_one_way_cycle_is_complete():
     cg = cut_graph(c)
     assert cg.edges == frozenset(itertools.combinations(range(5), 2))
     assert len(cg.components) == 1
-    assert cg.neighbors(2) == (0, 1, 3, 4)
 
 
 def test_cut_graph_of_a_two_way_cycle_is_empty():
@@ -279,8 +278,6 @@ def test_cut_graph_edges_match_pairwise_freeness():
         for comp in cg.components:
             assert union.isdisjoint(comp)
             union = union | comp
-            for v in comp:
-                assert cg.component_of[v] == cg.components.index(comp)
         assert union == g.full_set()
 
 
