@@ -45,10 +45,12 @@ from .graph_core import (
 )
 from .higher_level import (
     Analysis,
+    BroadPair,
     CutHypergraph,
     HyperEdge,
     analyze,
     broad_cut_search,
+    broad_pair_scan,
     higher_level_cut_graph,
     hypergraph_to_json,
     narrow_second_level_cuts,
@@ -66,6 +68,7 @@ from .numeric import (
     StationaryMeasure,
     WitnessPair,
     cut_equation_check,
+    cut_residuals,
     enumerate_sourced_cuts,
     random_rates,
     rate_assignment,

@@ -21,11 +21,11 @@ from .errors import (
     ResourceLimitError,
 )
 from .factors import Relation, factor_to_json, relation_to_json
-from .graph_core import DirectedGraph, is_strongly_connected
+from .graph_core import DirectedGraph, NodeSet, is_strongly_connected
 from .higher_level import (
     Analysis,
     analyze,
-    broad_cut_search,
+    broad_pair_scan,
     higher_level_cut_graph,
     hypergraph_to_json,
 )
@@ -33,14 +33,14 @@ from .models import Family, FixtureBundle, ModelSpec, expected_fixtures
 from .models import generate as generate_model
 from .numeric import (
     RateAssignment,
-    cut_equation_check,
+    cut_residuals,
     enumerate_sourced_cuts,
     random_rates,
     rate_assignment,
     stationary,
     verify_relation,
 )
-from .product_form import ChainKind, FormalChain, cut_graph, is_jaf
+from .product_form import ChainKind, FormalChain, cut_graph
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -244,8 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pi = stationary(c, rates)
         for k, r in enumerate(relations):
             relation_worst[k] = max(relation_worst[k], verify_relation(pi, rates, r))
-        for k, cut in enumerate(cuts):
-            cut_worst[k] = max(cut_worst[k], cut_equation_check(pi, rates, cut))
+        cut_worst = list(map(max, cut_worst, cut_residuals(pi, rates, cuts)))
     overall = max(relation_worst + cut_worst, default=0.0)
     passed = overall <= args.tol
     report = {
@@ -392,61 +391,62 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
     return report, agreed
 
 
-def _broad_pair_scan(c: FormalChain) -> tuple[list[dict], list[str], list[str]]:
-    """Subset search over every component pair, with conjecture findings."""
+def _broad_findings(c: FormalChain) -> tuple[list[dict], list[str], list[str], list[dict]]:
+    """The broad scan's pair reports, conjecture findings and skipped pairs, by label."""
     labels = c.graph.labels
-    c1 = cut_graph(c)
-    comps = c1.components
+
+    def names(s: NodeSet) -> list[str]:
+        return sorted(labels[v] for v in s)
+
+    found, skipped = broad_pair_scan(c)
     pair_reports: list[dict] = []
     conjecture1: list[str] = []
     conjecture2: list[str] = []
-    for p in range(len(comps)):
-        for q in range(p + 1, len(comps)):
-            k1, k2 = comps[p], comps[q]
-            members = broad_cut_search(c, k1, k2)
-            if not members:
-                continue
-            named = [
-                [sorted(labels[v] for v in i), sorted(labels[v] for v in j)]
-                for i, j in members
-            ]
-            free = is_jaf(c, k1, k2)
-            pair_reports.append(
-                {
-                    "comp_i": sorted(labels[v] for v in k1),
-                    "comp_j": sorted(labels[v] for v in k2),
-                    "members": named,
-                    "components_free": free,
-                }
+    for pair in found:
+        pair_reports.append(
+            {
+                "comp_i": names(pair.comp_i),
+                "comp_j": names(pair.comp_j),
+                "members": [[names(i), names(j)] for i, j in pair.members],
+                "components_free": pair.components_free,
+            }
+        )
+        if not pair.components_free:
+            conjecture1.append(
+                f"({'|'.join(names(pair.comp_i))}) vs ({'|'.join(names(pair.comp_j))}): "
+                "members exist but the full components are not free"
             )
-            if not free:
-                conjecture1.append(
-                    f"({'|'.join(sorted(labels[v] for v in k1))}) vs "
-                    f"({'|'.join(sorted(labels[v] for v in k2))}): members exist "
-                    "but the full components are not free"
-                )
-            found = {(i.mask, j.mask) for i, j in members}
-            for i, j in members:
-                if i == k1 and j == k2:
-                    continue
-                grown = [
-                    (i.mask | 1 << v, j.mask) for v in k1 if v not in i
-                ] + [
-                    (i.mask, j.mask | 1 << v) for v in k2 if v not in j
-                ]
-                if not any(g in found for g in grown):
-                    conjecture2.append(
-                        f"({'|'.join(sorted(labels[v] for v in i))}) vs "
-                        f"({'|'.join(sorted(labels[v] for v in j))}): no one-node extension"
-                    )
-    return pair_reports, conjecture1, conjecture2
+        conjecture2.extend(
+            f"({'|'.join(names(i))}) vs ({'|'.join(names(j))}): no one-node extension"
+            for i, j in pair.stranded
+        )
+    skipped_reports = [{"comp_i": names(k1), "comp_j": names(k2)} for k1, k2 in skipped]
+    return pair_reports, conjecture1, conjecture2, skipped_reports
 
 
-def _conjecture_summary(counter1: list[str], counter2: list[str]) -> str:
-    return "; ".join(
+def _broad_summary(counter1: list[str], counter2: list[str], skipped: int) -> str:
+    parts = [
         f"{len(found)} Conjecture {k} counterexamples" if found else f"no Conjecture {k} counterexample"
         for k, found in ((1, counter1), (2, counter2))
+    ]
+    parts.append(
+        f"{skipped} component pairs over the subset-search budget skipped"
+        if skipped
+        else "no component pair over the subset-search budget"
     )
+    return "; ".join(parts)
+
+
+def _broad_exit_code(skipped: int) -> int:
+    """Exit code of a broad scan: a budget failure when any pair went unsearched."""
+    if not skipped:
+        return EXIT_OK
+    print(
+        f"error: {skipped} component pairs exceed the subset-search budget; "
+        "the report lists them as skipped",
+        file=sys.stderr,
+    )
+    return EXIT_BUDGET
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -455,6 +455,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         counter1: list[str] = []
         counter2: list[str] = []
         pairs_with_members = 0
+        pairs_skipped = 0
         for _ in range(args.samples):
             c = _random_chain(rng, args.nodes)
             if args.mode == "cuts":
@@ -462,39 +463,42 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 if not agreed:
                     counter1.append(emit_document(c, "counterexample").to_json())
                 continue
-            reports, c1_bad, c2_bad = _broad_pair_scan(c)
+            reports, c1_bad, c2_bad, skipped = _broad_findings(c)
             pairs_with_members += len(reports)
+            pairs_skipped += len(skipped)
             counter1.extend(c1_bad)
             counter2.extend(c2_bad)
         if args.mode == "cuts":
             summary = "no sourced-cut mismatch" if not counter1 else f"{len(counter1)} mismatches"
         else:
-            summary = _conjecture_summary(counter1, counter2)
+            summary = _broad_summary(counter1, counter2, pairs_skipped)
         report = {
             "mode": args.mode,
             "samples": args.samples,
             "nodes": args.nodes,
             "seed": args.seed,
             "pairs_with_members": pairs_with_members,
+            "pairs_skipped": pairs_skipped,
             "findings": {"conjecture1": counter1, "conjecture2": counter2},
             "summary": summary,
         }
         _write_json(report, args.out)
-        return EXIT_OK
+        return _broad_exit_code(pairs_skipped)
     _, c, _ = _load(args.input)
     if args.mode == "cuts":
         report, agreed = _oracle_cuts(c)
         _write_json(report, args.out)
         return EXIT_OK if agreed else EXIT_FAILURE
-    reports, c1_bad, c2_bad = _broad_pair_scan(c)
+    reports, c1_bad, c2_bad, skipped = _broad_findings(c)
     report = {
         "mode": "broad",
         "pairs": reports,
+        "skipped": skipped,
         "findings": {"conjecture1": c1_bad, "conjecture2": c2_bad},
-        "summary": _conjecture_summary(c1_bad, c2_bad),
+        "summary": _broad_summary(c1_bad, c2_bad, len(skipped)),
     }
     _write_json(report, args.out)
-    return EXIT_OK
+    return _broad_exit_code(len(skipped))
 
 
 # ---- export ----

@@ -347,6 +347,55 @@ def broad_cut_search(c: FormalChain, k1: NodeSet, k2: NodeSet) -> list[tuple[Nod
     return found
 
 
+@dataclass(frozen=True)
+class BroadPair:
+    """The free subset pairs of one component pair, with what they say about two conjectures.
+
+    Conjecture 1: a component pair with members is itself free
+    (``components_free``). Conjecture 2: every member other than the full
+    pair grows by one node into another member; ``stranded`` lists those that
+    do not.
+    """
+
+    comp_i: NodeSet
+    comp_j: NodeSet
+    members: list[tuple[NodeSet, NodeSet]]
+    components_free: bool
+    stranded: list[tuple[NodeSet, NodeSet]]
+
+
+def broad_pair_scan(
+    c: FormalChain,
+) -> tuple[list[BroadPair], list[tuple[NodeSet, NodeSet]]]:
+    """Subset search over every pair of first-level components.
+
+    Returns the pairs that have members, and the pairs skipped because their
+    two components together span more than ``_BROAD_SEARCH_BUDGET`` nodes.
+    """
+    comps = cut_graph(c).components
+    found: list[BroadPair] = []
+    skipped: list[tuple[NodeSet, NodeSet]] = []
+    for p in range(len(comps)):
+        for q in range(p + 1, len(comps)):
+            k1, k2 = comps[p], comps[q]
+            if len(k1) + len(k2) > _BROAD_SEARCH_BUDGET:
+                skipped.append((k1, k2))
+                continue
+            members = broad_cut_search(c, k1, k2)
+            if not members:
+                continue
+            masks = {(i.mask, j.mask) for i, j in members}
+            stranded = [
+                (i, j)
+                for i, j in members
+                if (i, j) != (k1, k2)
+                and not any((i.mask | 1 << v, j.mask) in masks for v in k1 - i)
+                and not any((i.mask, j.mask | 1 << v) in masks for v in k2 - j)
+            ]
+            found.append(BroadPair(k1, k2, members, is_jaf(c, k1, k2), stranded))
+    return found, skipped
+
+
 # ---- serialization ----
 
 

@@ -13,7 +13,6 @@ import random
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
-from functools import cache
 from pathlib import Path
 
 from conftest import record_criterion
@@ -40,13 +39,9 @@ from prodform.product_form import (
     sourced_cut,
 )
 
-from util import random_strongly_connected
+from util import corpus, corpus_chain, random_strongly_connected
 
 _REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
-
-# Unlabeled strongly connected loop-free digraphs on 1..5 nodes; the corpus
-# builder must reproduce these counts exactly or the enumeration is broken.
-_CORPUS_SIZES = (1, 1, 5, 83, 5048)
 
 
 @contextmanager
@@ -59,95 +54,6 @@ def _criterion(number: int, label: str) -> Iterator[None]:
         raise
     record_criterion(number, label, True)
     print(f"criterion {number}: PASS — {label}")
-
-
-# ---- exhaustive small-graph corpus ----
-
-
-def _strongly_connected_rows(rows: tuple[int, ...], n: int) -> bool:
-    full = (1 << n) - 1
-    reach = 1
-    while True:
-        grown = reach
-        rem = reach
-        while rem:
-            i = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            grown |= rows[i]
-        if grown == reach:
-            break
-        reach = grown
-    if reach != full:
-        return False
-    reach = 1
-    while True:
-        grown = reach
-        for i in range(n):
-            if rows[i] & reach:
-                grown |= 1 << i
-        if grown == reach:
-            break
-        reach = grown
-    return reach == full
-
-
-def _isomorphism_classes(n: int) -> list[tuple[int, ...]]:
-    """One adjacency-row tuple per isomorphism class of SC loop-free digraphs.
-
-    Iterates every candidate once; the first member of each orbit encountered
-    becomes the representative, and its images under all nontrivial node
-    permutations are pre-seeded into ``seen`` so the rest of the orbit is
-    skipped without a connectivity check.
-    """
-    if n == 1:
-        return [(0,)]
-    perms = list(itertools.permutations(range(n)))[1:]
-    colmaps = []
-    for p in perms:
-        table = [0] * (1 << n)
-        for mask in range(1 << n):
-            out = 0
-            rem = mask
-            while rem:
-                j = (rem & -rem).bit_length() - 1
-                rem &= rem - 1
-                out |= 1 << p[j]
-            table[mask] = out
-        colmaps.append(table)
-    # Strong connectivity needs positive out-degree everywhere (for n >= 2),
-    # so empty rows are pruned before enumeration.
-    options = [[m for m in range(1 << n) if m and not m >> i & 1] for i in range(n)]
-    reps: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for rows in itertools.product(*options):
-        if rows in seen or not _strongly_connected_rows(rows, n):
-            continue
-        reps.append(rows)
-        for p, table in zip(perms, colmaps):
-            image = [0] * n
-            for i in range(n):
-                image[p[i]] = table[rows[i]]
-            seen.add(tuple(image))
-    return reps
-
-
-@cache
-def _corpus() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    graphs: list[tuple[int, tuple[int, ...]]] = []
-    for n in range(1, 6):
-        classes = _isomorphism_classes(n)
-        assert len(classes) == _CORPUS_SIZES[n - 1]
-        graphs.extend((n, rows) for rows in classes)
-    return tuple(graphs)
-
-
-def _rows_to_chain(n: int, rows: tuple[int, ...]) -> FormalChain:
-    edges = [(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1]
-    return DirectedGraph([str(v) for v in range(n)], edges)
-
-
-def _chain(n: int, rows: tuple[int, ...]) -> FormalChain:
-    return FormalChain(_rows_to_chain(n, rows))
 
 
 # ---- shared helpers ----
@@ -195,14 +101,14 @@ def test_criterion_01_scan_agrees_with_the_exhaustive_oracle():
     label = "cut scan equals the brute-force oracle on every small graph"
     with _criterion(1, label):
         started = time.perf_counter()
-        for n, rows in _corpus():
-            _assert_scan_matches_oracle(_chain(n, rows))
+        for n, rows in corpus():
+            _assert_scan_matches_oracle(corpus_chain(n, rows))
         rng = random.Random(113)
         for k in range(200):
             g = random_strongly_connected(rng, 6 + k % 2)
             _assert_scan_matches_oracle(FormalChain(g))
         elapsed = time.perf_counter() - started
-        print(f"  corpus of {len(_corpus())} classes + 200 samples in {elapsed:.1f}s")
+        print(f"  corpus of {len(corpus())} classes + 200 samples in {elapsed:.1f}s")
         assert elapsed < 60.0
 
 
@@ -444,10 +350,10 @@ def test_criterion_10_conjecture_harness_reports():
         pairs_with_members = 0
         conjecture1: list[dict] = []
         conjecture2: list[dict] = []
-        for n, rows in _corpus():
+        for n, rows in corpus():
             if n < 2:
                 continue
-            c = _chain(n, rows)
+            c = corpus_chain(n, rows)
             edges_doc = sorted(
                 [c.graph.labels[a], c.graph.labels[b]] for a, b in c.graph.edge_list
             )
@@ -479,7 +385,7 @@ def test_criterion_10_conjecture_harness_reports():
                             }
                         )
         report = {
-            "graphs_scanned": len(_corpus()),
+            "graphs_scanned": len(corpus()),
             "component_pairs_with_members": pairs_with_members,
             "conjecture1_counterexamples": conjecture1,
             "conjecture2_counterexamples": conjecture2,

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from prodform import cli
+from prodform import Family, Relation, analyze, cli, random_rates, stationary, verify_relation
+
+from util import reference_cut_residual
 
 # ---- helpers ----
 
@@ -258,6 +260,38 @@ def test_verify_covers_second_level_cuts(tmp_path):
     assert len(report["cuts"]) == 14 + 5
 
 
+@pytest.mark.parametrize("family", sorted(f.value for f in Family))
+def test_verify_report_residuals_equal_the_reference_loop(tmp_path, family: str):
+    path = _generate(tmp_path, family)
+    _, c, _ = cli._load(path)
+    found = analyze(c, max_level=2)
+    out = str(tmp_path / "verify.json")
+    for seeds, fault in ((2, False), (1, True)):
+        flags = ["--seeds", str(seeds)] + (["--fault"] if fault else [])
+        code = cli.main(["verify", path, *flags, "--out", out])
+        relations = list(found.relations)
+        if fault and not relations:
+            assert code == cli.EXIT_INPUT
+            continue
+        report = _read_json(out)
+        if fault:
+            r = relations[0]
+            relations[0] = Relation(r.lhs_node, r.rhs_node, r.rhs_factor, r.lhs_factor, r.level)
+        relation_worst = [0.0] * len(relations)
+        cut_worst = [0.0] * len(found.cuts)
+        for seed in range(seeds):
+            rates = random_rates(c, seed)
+            pi = stationary(c, rates)
+            for k, r in enumerate(relations):
+                relation_worst[k] = max(relation_worst[k], verify_relation(pi, rates, r))
+            for k, cut in enumerate(found.cuts):
+                cut_worst[k] = max(cut_worst[k], reference_cut_residual(pi, rates, cut))
+        assert [entry["worst_residual"] for entry in report["relations"]] == relation_worst
+        assert [entry["worst_residual"] for entry in report["cuts"]] == cut_worst
+        assert report["max_residual"] == max(relation_worst + cut_worst, default=0.0)
+        assert code == (cli.EXIT_FAILURE if fault else cli.EXIT_OK)
+
+
 # ---- generate ----
 
 
@@ -331,6 +365,28 @@ def test_oracle_broad_lists_pinned_member(tmp_path):
     assert [["1", "bar1"], ["2"]] in members
     assert "no Conjecture 1 counterexample" in report["summary"]
     assert "no Conjecture 2 counterexample" in report["summary"]
+    assert report["skipped"] == []
+
+
+def test_oracle_broad_reports_the_pairs_over_budget(tmp_path, capsys):
+    # A 6-node and a 24-node one-way cycle joined by two two-way links: the
+    # components have 3, 3, 12 and 12 nodes, so only the 3 + 3 pair fits.
+    nodes = [f"a{i}" for i in range(6)] + [f"b{i}" for i in range(24)]
+    edges = [(f"a{i}", f"a{(i + 1) % 6}") for i in range(6)]
+    edges += [(f"b{i}", f"b{(i + 1) % 24}") for i in range(24)]
+    edges += [("a0", "b0"), ("b0", "a0"), ("a3", "b12"), ("b12", "a3")]
+    path = tmp_path / "joined.json"
+    path.write_text(
+        json.dumps({"nodes": nodes, "edges": [{"from": a, "to": b} for a, b in edges]}),
+        encoding="utf-8",
+    )
+    out = str(tmp_path / "broad.json")
+    assert cli.main(["oracle", str(path), "--mode", "broad", "--out", out]) == cli.EXIT_BUDGET
+    report = _read_json(out)
+    sizes = sorted(len(p["comp_i"]) + len(p["comp_j"]) for p in report["skipped"])
+    assert sizes == [15, 15, 15, 15, 24]
+    assert "5 component pairs over the subset-search budget skipped" in report["summary"]
+    assert "the report lists them as skipped" in capsys.readouterr().err
 
 
 def test_oracle_random_scan(tmp_path):
@@ -343,6 +399,7 @@ def test_oracle_random_scan(tmp_path):
     assert "no Conjecture 1 counterexample" in report["summary"]
     assert report["samples"] == 200
     assert report["pairs_with_members"] > 0
+    assert report["pairs_skipped"] == 0
 
 
 def test_oracle_random_is_deterministic(tmp_path):

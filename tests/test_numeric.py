@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,11 +14,14 @@ from prodform import (
     DirectedGraph,
     FormalChain,
     InvalidArgumentError,
+    NumericError,
     RateAtom,
     ResourceLimitError,
+    analyze,
     cut_graph,
     cut_source,
     cut_equation_check,
+    cut_residuals,
     enumerate_sourced_cuts,
     is_jaf,
     make_relation,
@@ -29,16 +34,20 @@ from prodform import (
     theorem3_witness,
     verify_relation,
 )
+from prodform.cli import document_to_chain, parse_document
 from prodform.graph_core import NodeSet
 
 from util import (
     birth_death,
     brute_sourced_cuts,
+    corpus,
+    corpus_chain,
     ladder7,
     nodeset,
     one_way_cycle,
     one_way_cycle_plus,
     random_strongly_connected,
+    reference_cut_residual,
     ring9,
     two_way_cycle,
 )
@@ -235,6 +244,127 @@ def test_three_term_crossing_identity_on_the_ladder():
         (by["4"], by["5"])
     ]
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+# ---- batched cut residuals ----
+
+
+def _assert_residuals_exact(c: FormalChain, rates, cuts: list[Cut]) -> None:
+    pi = stationary(c, rates)
+    assert cut_residuals(pi, rates, cuts) == [reference_cut_residual(pi, rates, cut) for cut in cuts]
+
+
+def _every_bipartition(c: FormalChain) -> list[Cut]:
+    return [_cut_from_side(c, NodeSet(mask, c.n)) for mask in range(1, (1 << c.n) - 1)]
+
+
+def test_cut_residuals_equal_the_loop_on_every_corpus_bipartition():
+    for k, (n, rows) in enumerate(corpus()):
+        if n > 1:
+            c = corpus_chain(n, rows)
+            _assert_residuals_exact(c, random_rates(c, k), _every_bipartition(c))
+
+
+def test_cut_residuals_equal_the_loop_on_random_chain_cuts():
+    rng = random.Random(29)
+    deep = 0
+    for seed in range(200):
+        g = random_strongly_connected(rng, rng.randint(3, 12), rng.uniform(0.05, 0.4))
+        c = FormalChain(g)
+        found = analyze(c, 3)
+        third = [h.cut for lv in found.levels[1:] for h in lv.hyperedges]
+        deep += len(third)
+        _assert_residuals_exact(c, random_rates(c, seed), found.cuts + third)
+    assert deep > 0
+
+
+def test_cut_residuals_follow_the_document_edge_order():
+    g = ladder7()
+    rng = random.Random(3)
+    order = list(g.edge_list)
+    rng.shuffle(order)
+    doc = {
+        "nodes": list(g.labels),
+        "edges": [
+            {"from": g.labels[u], "to": g.labels[v], "rate": 10.0 ** rng.uniform(-1.0, 1.0)}
+            for u, v in order
+        ],
+    }
+    c, rates = document_to_chain(parse_document(json.dumps(doc)))
+    assert list(rates.values) != list(c.graph.edge_list)
+    _assert_residuals_exact(c, rates, _every_bipartition(c))
+
+
+def test_cut_residuals_equal_the_loop_with_self_loops():
+    base = two_way_cycle(6)
+    g = DirectedGraph(list(base.labels), [*base.edge_list, (0, 0), (3, 3), (4, 4)])
+    c = FormalChain(g)
+    for seed in range(3):
+        _assert_residuals_exact(c, random_rates(c, seed), _every_bipartition(c))
+
+
+def test_cut_residuals_span_several_blocks_on_a_long_cycle():
+    c = FormalChain(one_way_cycle(60))
+    cuts = analyze(c, 2).cuts
+    assert len(cuts) * c.graph.edge_count > 1 << 16
+    for seed in range(3):
+        _assert_residuals_exact(c, random_rates(c, seed), cuts)
+
+
+def test_cut_residuals_keep_the_loop_on_sides_that_do_not_cover_the_chain():
+    c = FormalChain(ladder7())
+    rates = random_rates(c, 5)
+    pi = stationary(c, rates)
+    rng = random.Random(17)
+    undefined = 0
+    for _ in range(200):
+        labels = [rng.randrange(3) for _ in range(c.n)]
+        side_a = nodeset(c.graph, [v for v in range(c.n) if labels[v] == 1])
+        side_b = nodeset(c.graph, [v for v in range(c.n) if labels[v] == 2])
+        cut = Cut(side_a, side_b, NodeSet.empty(c.n), NodeSet.empty(c.n))
+        try:
+            want = reference_cut_residual(pi, rates, cut)
+        except ZeroDivisionError:
+            undefined += 1
+            with pytest.raises(NumericError, match="balance is undefined"):
+                cut_residuals(pi, rates, [cut])
+            continue
+        assert cut_residuals(pi, rates, [cut]) == [want]
+    assert undefined > 0
+
+
+def test_cut_residuals_validate_the_universe():
+    c = FormalChain(birth_death(4))
+    rates = random_rates(c, 0)
+    pi = stationary(c, rates)
+    side = NodeSet.of([0], 5)
+    with pytest.raises(InvalidArgumentError, match="not over the chain's 4 nodes"):
+        cut_residuals(pi, rates, [Cut(side, side.complement(), side, side)])
+    assert cut_residuals(pi, rates, []) == []
+
+
+def test_cut_residuals_bound_their_temporaries():
+    n = 400
+    c = FormalChain(one_way_cycle(n))
+    rates = random_rates(c, 1)
+    pi = stationary(c, rates)
+    full = (1 << n) - 1
+    cuts = []
+    for k in range(80_000):
+        start, length = k % n, 1 + k // n
+        arc = ((1 << length) - 1) << start
+        side = NodeSet((arc | arc >> n) & full, n)
+        last, before = (start + length - 1) % n, (start - 1) % n
+        cuts.append(Cut(side, side.complement(), NodeSet.of([last], n), NodeSet.of([before], n)))
+    tracemalloc.start()
+    try:
+        residuals = cut_residuals(pi, rates, cuts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert len(residuals) == len(cuts)
+    assert max(residuals) <= BALANCE_TOL
 
 
 # ---- exhaustive oracle ----

@@ -1,9 +1,13 @@
 """Shared builders and brute-force oracles for the test suite."""
 from __future__ import annotations
 
+import itertools
 import random
+from functools import cache
 
 from prodform.graph_core import DirectedGraph, NodeSet, is_strongly_connected
+from prodform.numeric import RateAssignment, StationaryMeasure
+from prodform.product_form import Cut, FormalChain
 
 
 # ---- fixture graphs ----
@@ -81,6 +85,96 @@ def random_strongly_connected(rng: random.Random, n: int, extra_edge_prob: float
     return g
 
 
+# ---- exhaustive small-graph corpus ----
+
+# Unlabeled strongly connected loop-free digraphs on 1..5 nodes; the corpus
+# builder must reproduce these counts exactly or the enumeration is broken.
+CORPUS_SIZES = (1, 1, 5, 83, 5048)
+
+
+def _strongly_connected_rows(rows: tuple[int, ...], n: int) -> bool:
+    full = (1 << n) - 1
+    reach = 1
+    while True:
+        grown = reach
+        rem = reach
+        while rem:
+            i = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            grown |= rows[i]
+        if grown == reach:
+            break
+        reach = grown
+    if reach != full:
+        return False
+    reach = 1
+    while True:
+        grown = reach
+        for i in range(n):
+            if rows[i] & reach:
+                grown |= 1 << i
+        if grown == reach:
+            break
+        reach = grown
+    return reach == full
+
+
+def _isomorphism_classes(n: int) -> list[tuple[int, ...]]:
+    """One adjacency-row tuple per isomorphism class of SC loop-free digraphs.
+
+    Iterates every candidate once; the first member of each orbit encountered
+    becomes the representative, and its images under all nontrivial node
+    permutations are pre-seeded into ``seen`` so the rest of the orbit is
+    skipped without a connectivity check.
+    """
+    if n == 1:
+        return [(0,)]
+    perms = list(itertools.permutations(range(n)))[1:]
+    colmaps = []
+    for p in perms:
+        table = [0] * (1 << n)
+        for mask in range(1 << n):
+            out = 0
+            rem = mask
+            while rem:
+                j = (rem & -rem).bit_length() - 1
+                rem &= rem - 1
+                out |= 1 << p[j]
+            table[mask] = out
+        colmaps.append(table)
+    # Strong connectivity needs positive out-degree everywhere (for n >= 2),
+    # so empty rows are pruned before enumeration.
+    options = [[m for m in range(1 << n) if m and not m >> i & 1] for i in range(n)]
+    reps: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for rows in itertools.product(*options):
+        if rows in seen or not _strongly_connected_rows(rows, n):
+            continue
+        reps.append(rows)
+        for p, table in zip(perms, colmaps):
+            image = [0] * n
+            for i in range(n):
+                image[p[i]] = table[rows[i]]
+            seen.add(tuple(image))
+    return reps
+
+
+@cache
+def corpus() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """One (n, adjacency rows) entry per isomorphism class, for n = 1..5."""
+    graphs: list[tuple[int, tuple[int, ...]]] = []
+    for n in range(1, 6):
+        classes = _isomorphism_classes(n)
+        assert len(classes) == CORPUS_SIZES[n - 1]
+        graphs.extend((n, rows) for rows in classes)
+    return tuple(graphs)
+
+
+def corpus_chain(n: int, rows: tuple[int, ...]) -> FormalChain:
+    edges = [(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1]
+    return FormalChain(DirectedGraph([str(v) for v in range(n)], edges))
+
+
 # ---- brute-force oracles ----
 
 
@@ -124,3 +218,15 @@ def brute_sourced_cuts(g: DirectedGraph) -> dict[tuple[int, int], list[tuple[set
             i, j = next(iter(src_a)), next(iter(src_b))
             found.setdefault((i, j), []).append((side_a, set(range(g.n)) - side_a))
     return found
+
+
+def reference_cut_residual(pi: StationaryMeasure, rates: RateAssignment, cut: Cut) -> float:
+    """Crossing-flow balance of one cut by a per-edge loop in the rate map's order."""
+    forward = 0.0
+    backward = 0.0
+    for (u, v), q in rates.values.items():
+        if u in cut.side_a and v in cut.side_b:
+            forward += pi[u] * q
+        elif u in cut.side_b and v in cut.side_a:
+            backward += pi[u] * q
+    return abs(forward - backward) / (forward + backward)
