@@ -39,8 +39,6 @@ from .graph_core import (
     ancestors,
     ancestors_avoiding,
     connectivity_witness,
-    is_strongly_connected,
-    set_avoiding_subgraph,
     shortest_path,
 )
 from .higher_level import (
@@ -53,7 +51,6 @@ from .higher_level import (
     broad_pair_scan,
     higher_level_cut_graph,
     hypergraph_to_json,
-    narrow_second_level_cuts,
     sps_relation,
 )
 from .models import (

@@ -21,7 +21,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .factors import Relation, factor_to_json, relation_to_json
-from .graph_core import DirectedGraph, NodeSet, is_strongly_connected
+from .graph_core import DirectedGraph, NodeSet, connectivity_witness
 from .higher_level import (
     Analysis,
     analyze,
@@ -103,6 +103,8 @@ def parse_document(text: str) -> GraphDocument:
     for entry in raw_edges:
         if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
             raise InvalidArgumentError(f"malformed edge entry: {entry!r}")
+        if not isinstance(entry["from"], str) or not isinstance(entry["to"], str):
+            raise InvalidArgumentError(f"edge endpoints must be label strings: {entry!r}")
         edges.append((entry["from"], entry["to"]))
         if "rate" in entry:
             value = entry["rate"]
@@ -363,7 +365,7 @@ def _random_chain(rng: random.Random, n: int) -> FormalChain:
             if i != j and rng.random() < 0.35
         ]
         g = DirectedGraph(labels, edges)
-        if is_strongly_connected(g):
+        if connectivity_witness(g) is None:
             return FormalChain(g)
 
 

@@ -112,18 +112,11 @@ class DirectedGraph:
 
     Both adjacency directions are materialized once at construction: sorted
     neighbor tuples for ordered traversal and bitmasks for set-valued queries.
-    ``parent_index`` maps this graph's indices back to the graph it was carved
-    from by :func:`set_avoiding_subgraph` (identity for directly built graphs).
     """
 
-    __slots__ = ("labels", "index_of", "out_adj", "in_adj", "out_mask", "in_mask", "edge_list", "parent_index")
+    __slots__ = ("labels", "index_of", "out_adj", "in_adj", "out_mask", "in_mask", "edge_list")
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        edges: Iterable[tuple[int, int]],
-        parent_index: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
         if not labels:
             raise InvalidArgumentError("a graph needs at least one node")
@@ -150,7 +143,6 @@ class DirectedGraph:
         self.out_mask = tuple(sum(1 << v for v in s) for s in out_sets)
         self.in_mask = tuple(sum(1 << u for u in s) for s in in_sets)
         self.edge_list = tuple(sorted(edge_list))
-        self.parent_index = parent_index if parent_index is not None else tuple(range(n))
 
     @classmethod
     def from_labeled_edges(cls, labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> DirectedGraph:
@@ -234,9 +226,8 @@ def ancestors(g: DirectedGraph, seed: NodeSet) -> NodeSet:
 def ancestors_avoiding(g: DirectedGraph, seed: NodeSet, avoid: NodeSet) -> NodeSet:
     """Ancestors of ``seed`` inside the subgraph induced on ``V - avoid``.
 
-    Equivalent to ``ancestors(set_avoiding_subgraph(g, avoid), seed)`` mapped
-    back to the parent indices, without materializing the subgraph. ``seed``
-    must be nonempty and disjoint from ``avoid``.
+    One closure restricted to the allowed nodes, without materializing the
+    subgraph. ``seed`` must be nonempty and disjoint from ``avoid``.
     """
     if seed.universe != g.n or avoid.universe != g.n:
         raise InvalidArgumentError("node sets belong to a different graph")
@@ -248,37 +239,6 @@ def ancestors_avoiding(g: DirectedGraph, seed: NodeSet, avoid: NodeSet) -> NodeS
 
 
 # ---- derived operations ----
-
-
-def set_avoiding_subgraph(g: DirectedGraph, avoid: NodeSet) -> DirectedGraph:
-    """The subgraph induced on ``V - avoid``, with labels preserved.
-
-    The result's ``parent_index`` maps its dense indices back to ``g``.
-    Removing every node is rejected (graphs are nonempty).
-    """
-    if avoid.universe != g.n:
-        raise InvalidArgumentError("avoided set belongs to a different graph")
-    if avoid.mask == (1 << g.n) - 1:
-        raise InvalidArgumentError("cannot remove every node")
-    keep = [i for i in range(g.n) if i not in avoid]
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edge_list
-        if u not in avoid and v not in avoid
-    ]
-    sub = DirectedGraph([g.labels[i] for i in keep], edges, parent_index=tuple(keep))
-    return sub
-
-
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every node can reach and be reached from an arbitrary base node."""
-    base = NodeSet.of([0], g.n)
-    full = (1 << g.n) - 1
-    return (
-        _closure(g.in_mask, base.mask, full) == full
-        and _closure(g.out_mask, base.mask, full) == full
-    )
 
 
 def connectivity_witness(g: DirectedGraph) -> tuple[int, int] | None:

@@ -7,14 +7,11 @@ relations between any two nodes drawn from the linked components. Merging
 components along hyperedges and rescanning lifts the construction level by
 level.
 
-One avoiding-ancestor closure decides a component pair (K1, K2). Let A be the
-ancestors of K1 avoiding K2. In a strongly connected chain every node reaches
-K1 or K2 before the other, so V - A lies inside K2's avoiding-ancestor set. A
-node of A outside K1 with an edge out of A therefore reaches K2 while avoiding
-K1, a joint ancestor; and any joint ancestor in A leaves A on its way to K2
-through such an edge. So the pair is free exactly when every source of A lies
-in K1, and then the cut is (A, V - A). The rescan skips pairs whose answer is
-already known; ``higher_level_cut_graph`` says which and why that is exact.
+One lane scan (``product_form._free_lanes``, which also gives the
+correctness argument) decides every component pair of a level at once, and
+the avoiding-ancestor sides it leaves behind are the cuts of the free pairs.
+The rescan skips pairs whose answer is already known;
+``higher_level_cut_graph`` says which and why that is exact.
 
 ``analyze`` is the whole pipeline behind the command line's ``analyze`` and
 ``verify``: the cut graph, the levels, and every relation and cut they check.
@@ -34,11 +31,12 @@ from .factors import (
     product_of,
     sum_of,
 )
-from .graph_core import NodeSet, _bfs_levels, _components, _descend, ancestors_avoiding
+from .graph_core import NodeSet, _bfs_levels, _components, _descend
 from .product_form import (
     Cut,
     CutGraph,
     FormalChain,
+    _free_lanes,
     _sources,
     cut_graph,
     is_jaf,
@@ -79,61 +77,32 @@ class CutHypergraph:
 # ---- discovery ----
 
 
-def _component_pair_edge(
-    c: FormalChain, comps: tuple[NodeSet, ...], p: int, q: int
-) -> HyperEdge | None:
-    g = c.graph
-    k1, k2 = comps[p], comps[q]
-    side_a = ancestors_avoiding(g, k1, k2)
-    side_b = side_a.complement()
-    src_a, src_b = _sources(g, side_a.mask, side_b.mask)
-    # A source of side_a outside k1 reaches k2 through side_b while avoiding
-    # k1, so it is a joint ancestor; without one, side_b is k2's own set.
-    if src_a & ~k1.mask:
-        return None
-    source_i = NodeSet(src_a, g.n)
-    source_j = NodeSet(src_b, g.n)
-    assert source_i and source_i.issubset(k1), "cut sources must sit inside the first component"
-    assert source_j and source_j.issubset(k2), "cut sources must sit inside the second component"
-    return HyperEdge(
-        source_i=source_i,
-        source_j=source_j,
-        comp_i=p,
-        comp_j=q,
-        cut=Cut(side_a, side_b, source_i, source_j),
-    )
-
-
 def _scan_pairs(
     c: FormalChain, comps: tuple[NodeSet, ...], settled: set[int]
 ) -> tuple[HyperEdge, ...]:
     """Hyperedges between component pairs, skipping pairs of two ``settled`` masks."""
+    g = c.graph
+    n = g.n
     edges = []
-    for p in range(len(comps)):
-        p_settled = comps[p].mask in settled
-        for q in range(p + 1, len(comps)):
-            if p_settled and comps[q].mask in settled:
-                continue
-            edge = _component_pair_edge(c, comps, p, q)
-            if edge is not None:
-                edges.append(edge)
+    for p, _, free, state in _free_lanes(g, [comp.mask for comp in comps], settled):
+        while free:
+            lane = free & -free
+            free ^= lane
+            q = lane.bit_length() - 1
+            side_a = NodeSet(sum(1 << v for v, s in enumerate(state) if s & lane), n)
+            side_b = side_a.complement()
+            src_a, src_b = _sources(g, side_a.mask, side_b.mask)
+            source_i = NodeSet(src_a, n)
+            source_j = NodeSet(src_b, n)
+            assert source_i and source_i.issubset(comps[p]), "sources must sit in the first component"
+            assert source_j and source_j.issubset(comps[q]), "sources must sit in the second component"
+            cut = Cut(side_a, side_b, source_i, source_j)
+            edges.append(HyperEdge(source_i, source_j, p, q, cut))
     return tuple(edges)
 
 
 def _singletons(comps: tuple[NodeSet, ...]) -> set[int]:
     return {comp.mask for comp in comps if len(comp) == 1}
-
-
-def narrow_second_level_cuts(c: FormalChain, c1: CutGraph) -> tuple[HyperEdge, ...]:
-    """All component pairs of the first-level graph that are free as whole sets.
-
-    Each hit carries the cut spanned by the two components' mutually avoiding
-    ancestor sets. Two singleton components are never free: a free pair of
-    single nodes is a first-level edge and would share a component. Every
-    other pair costs one linear-time freeness check, a single avoiding-ancestor
-    closure (see the module docstring).
-    """
-    return _scan_pairs(c, c1.components, _singletons(c1.components))
 
 
 def higher_level_cut_graph(

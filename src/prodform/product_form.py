@@ -9,7 +9,7 @@ which happens exactly when their mutually avoiding ancestor sets are disjoint.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NotStronglyConnectedError
@@ -219,110 +219,96 @@ def compose_ps(path: Sequence[int], chain: FormalChain) -> Relation:
     return make_relation(path[0], path[-1], lhs, rhs)
 
 
-def _dominator_subtree_sizes(
-    succ: Sequence[Sequence[int]], pred: Sequence[Sequence[int]], root: int
-) -> list[int]:
-    """Subtree size of every node in the dominator tree of ``succ`` rooted at ``root``.
+def _free_lanes(
+    g: DirectedGraph, comps: Sequence[int], settled: Collection[int] = ()
+) -> Iterator[tuple[int, int, int, list[int]]]:
+    """Decide every pair of a node partition in one worklist pass per first component.
 
-    Simple Lengauer-Tarjan (path compression without balancing), written
-    iteratively; every node must be reachable from ``root``. Works on 1-based
-    DFS preorder numbers so that 0 can stand for "no forest ancestor".
+    ``comps`` is a partition of V as masks. For each component ``p`` this
+    yields ``(p, lanes, free, state)``. Bit ``q`` of ``lanes`` is set for every
+    later component ``q`` unless both masks are in ``settled``; each such
+    "lane" decides the pair (p, q). Bit ``q`` of ``state[v]`` holds exactly when
+    v is in ``ancestors_avoiding(K_p, K_q)``, and bit ``q`` of ``free`` says
+    whether the pair is joint-ancestor free. A ``p`` without lanes is skipped.
+
+    The states are the least fixpoint of "K_p holds every lane; any other node
+    holds what its successors hold, minus its own component's lane". The
+    update is monotone, so a FIFO worklist reaches it in any visiting order
+    (Kam & Ullman 1976); the lanes are the avoided sets of a multi-source
+    bit-parallel traversal (Then et al., PVLDB 8(4), 2014).
+
+    Let A be lane q's side. In a strongly connected chain every node reaches
+    K_p or K_q before the other, so V - A lies inside K_q's avoiding-ancestor
+    set. A node of A outside K_p with an edge out of A therefore reaches K_q
+    while avoiding K_p, a joint ancestor; and any joint ancestor in A leaves
+    A on its way to K_q through such an edge. So the pair is free exactly when
+    every source of A lies in K_p, and then the cut is (A, V - A). A node
+    outside K_p spoils every lane it holds that one of its successors lacks.
     """
-    n = len(succ)
-    num = [0] * n  # node -> preorder number, 0 while unvisited
-    order = [0]  # preorder number -> node
-    parent = [0]
-    # Marking nodes when popped, not when pushed, keeps this a depth-first order.
-    stack = [(root, 0)]
-    while stack:
-        v, p = stack.pop()
-        if num[v]:
+    n = g.n
+    in_adj = g.in_adj
+    out_adj = g.out_adj
+    comp_of = [0] * n
+    for q, mask in enumerate(comps):
+        for v in NodeSet(mask, n):
+            comp_of[v] = q
+    everything = (1 << len(comps)) - 1
+    # A node never holds its own component's lane.
+    keep = [everything ^ 1 << q for q in comp_of]
+    unsettled = sum(1 << q for q, mask in enumerate(comps) if mask not in settled)
+    for p, mask in enumerate(comps):
+        lanes = everything >> p + 1 << p + 1
+        if mask in settled:
+            lanes &= unsettled
+        if not lanes:
             continue
-        num[v] = len(order)
-        order.append(v)
-        parent.append(p)
-        for w in succ[v]:
-            if not num[w]:
-                stack.append((w, num[v]))
-    assert len(order) == n + 1, "every node must be reachable from the dominator-tree root"
-    semi = list(range(n + 1))
-    label = semi[:]
-    ancestor = [0] * (n + 1)
-    idom = [0] * (n + 1)
-    # Buckets of nodes by semidominator, as linked lists threaded through nxt.
-    head = [0] * (n + 1)
-    nxt = [0] * (n + 1)
-
-    def compress(v: int) -> None:
-        chain = []
-        while ancestor[ancestor[v]]:
-            chain.append(v)
-            v = ancestor[v]
-        for x in reversed(chain):
-            a = ancestor[x]
-            if semi[label[a]] < semi[label[x]]:
-                label[x] = label[a]
-            ancestor[x] = ancestor[a]
-
-    for w in range(n, 1, -1):
-        s = semi[w]
-        for v in pred[order[w]]:
-            v = num[v]
-            if ancestor[ancestor[v]]:
-                compress(v)
-            u = semi[label[v]]
-            if u < s:
-                s = u
-        semi[w] = s
-        nxt[w] = head[s]
-        head[s] = w
-        p = parent[w]
-        ancestor[w] = p
-        v = head[p]
-        while v:
-            if ancestor[ancestor[v]]:
-                compress(v)
-            u = label[v]
-            idom[v] = u if semi[u] < semi[v] else p
-            v = nxt[v]
-        head[p] = 0
-    for w in range(2, n + 1):
-        if idom[w] != semi[w]:
-            idom[w] = idom[idom[w]]
-    size = [1] * (n + 1)
-    for w in range(n, 1, -1):
-        size[idom[w]] += size[w]
-    return [size[k] for k in num]
+        state = [0] * n
+        queued = [False] * n
+        # Members of K_p hold every lane from the start, so they never re-enter.
+        queue = list(NodeSet(mask, n))
+        for v in queue:
+            state[v] = lanes
+        # A FIFO worklist: the loop also visits the nodes appended while it runs.
+        for v in queue:
+            queued[v] = False
+            sv = state[v]
+            for u in in_adj[v]:
+                su = state[u]
+                s = su | sv & keep[u]
+                if s != su:
+                    state[u] = s
+                    if not queued[u]:
+                        queued[u] = True
+                        queue.append(u)
+        bad = 0
+        for sv, succ, q in zip(state, out_adj, comp_of):
+            if sv and q != p:
+                held = sv
+                for w in succ:
+                    held &= state[w]
+                bad |= sv ^ held
+        yield p, lanes, lanes & ~bad, state
 
 
 def cut_graph(c: FormalChain) -> CutGraph:
     """Find every unordered node pair with a sourced cut and bundle the results.
 
-    On the reversed graph rooted at i, a node reaches i while avoiding j in
-    the chain exactly when j does not dominate it, so the avoiding-ancestor
-    set of i is ``V - Sub_i(j)``, where ``Sub_i(j)`` is j's subtree in the
-    dominator tree rooted at i. The pair is free exactly when
-    ``Sub_i(j) | Sub_j(i) == V``. The two subtrees never overlap: a node in
-    both could reach neither i without passing j nor j without passing i,
-    yet a shortest path from it to {i, j} ends at one of them without
-    passing the other. So the test
-    reduces to the two subtree sizes summing to |V|, which needs n sizes
-    per tree rather than n masks. That costs one Lengauer-Tarjan tree per
-    root, O(|V| |E| log |V|) in all, plus |V|^2 / 2 additions.
-    ``sourced_cut`` keeps the per-pair closures as an independent route.
+    The pairs are those of the all-singletons partition that ``_free_lanes``
+    finds free: a free pair of single nodes has exactly those two nodes as
+    sources, so its cut is the one sourced at them. ``sourced_cut`` keeps the
+    per-pair closures as an independent route.
     Components are computed eagerly, ordered by their lowest node, and every
     node appears in one, isolated nodes as singletons.
     """
-    g = c.graph
-    n = g.n
-    sizes = [_dominator_subtree_sizes(g.in_adj, g.out_adj, root) for root in range(n)]
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if sizes[i][j] + sizes[j][i] == n
-    ]
-    components = _components([1 << v for v in range(n)], edges)
+    n = c.graph.n
+    singletons = [1 << v for v in range(n)]
+    edges = []
+    for i, _, free, _ in _free_lanes(c.graph, singletons):
+        while free:
+            low = free & -free
+            edges.append((i, low.bit_length() - 1))
+            free ^= low
+    components = _components(singletons, edges)
     return CutGraph(frozenset(edges), tuple(NodeSet(m, n) for m in components))
 
 

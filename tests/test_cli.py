@@ -46,6 +46,10 @@ def test_parse_rejects_malformed_json_with_position():
         ('{"nodes": ["a"], "edges": {}}', "list of objects"),
         ('{"nodes": ["a", "b"], "edges": [{"from": "a"}]}', "malformed edge"),
         (
+            '{"nodes": ["a", "b"], "edges": [{"from": ["a"], "to": "b"}, {"from": "b", "to": "a"}]}',
+            "endpoints must be label strings",
+        ),
+        (
             '{"nodes": ["a", "b"], "edges": [{"from": "a", "to": "b", "rate": "x"}]}',
             "must be a number",
         ),

@@ -12,8 +12,6 @@ from prodform.graph_core import (
     ancestors,
     ancestors_avoiding,
     connectivity_witness,
-    is_strongly_connected,
-    set_avoiding_subgraph,
     shortest_path,
 )
 from util import (
@@ -24,6 +22,7 @@ from util import (
     one_way_cycle,
     one_way_cycle_plus,
     random_strongly_connected,
+    set_avoiding_subgraph,
     two_way_cycle,
 )
 
@@ -72,7 +71,7 @@ def test_graph_rejects_duplicate_edges_and_labels():
 def test_graph_permits_self_loops():
     g = DirectedGraph(["a", "b"], [(0, 0), (0, 1), (1, 0)])
     assert g.has_edge(0, 0)
-    assert is_strongly_connected(g)
+    assert connectivity_witness(g) is None
 
 
 def test_adjacency_is_sorted_and_mirrored():
@@ -89,7 +88,7 @@ def test_adjacency_is_sorted_and_mirrored():
 
 def test_ancestors_birth_death_with_removed_node():
     g = birth_death(6)
-    sub = set_avoiding_subgraph(g, nodeset(g, [3]))
+    sub, _ = set_avoiding_subgraph(g, nodeset(g, [3]))
     seed = sub.set_of_labels(["2"])
     got = ancestors(sub, seed)
     assert sub.label_set(got) == {"0", "1", "2"}
@@ -152,7 +151,7 @@ def test_ancestors_monotone_in_seed():
 def test_subgraph_keeps_exactly_surviving_edges():
     g = ladder7()
     avoid = g.set_of_labels(["5"])
-    sub = set_avoiding_subgraph(g, avoid)
+    sub, parent_index = set_avoiding_subgraph(g, avoid)
     assert set(sub.labels) == set(g.labels) - {"5"}
     expected = {
         (g.labels[u], g.labels[v])
@@ -162,14 +161,14 @@ def test_subgraph_keeps_exactly_surviving_edges():
     got = {(sub.labels[u], sub.labels[v]) for u, v in sub.edge_list}
     assert got == expected
     # parent_index maps back to the original indices
-    assert [g.labels[p] for p in sub.parent_index] == list(sub.labels)
+    assert [g.labels[p] for p in parent_index] == list(sub.labels)
 
 
 def test_subgraph_of_nothing_removed_is_identity():
     g = birth_death(4)
-    sub = set_avoiding_subgraph(g, NodeSet.empty(g.n))
+    sub, parent_index = set_avoiding_subgraph(g, NodeSet.empty(g.n))
     assert sub.labels == g.labels and sub.edge_list == g.edge_list
-    assert sub.parent_index == tuple(range(g.n))
+    assert parent_index == tuple(range(g.n))
 
 
 def test_subgraph_rejects_removing_everything():
@@ -182,11 +181,10 @@ def test_subgraph_rejects_removing_everything():
 
 
 def test_strong_connectivity_checks():
-    assert is_strongly_connected(one_way_cycle(5))
-    assert is_strongly_connected(two_way_cycle(4))
-    assert is_strongly_connected(ladder7())
+    assert connectivity_witness(one_way_cycle(5)) is None
+    assert connectivity_witness(two_way_cycle(4)) is None
+    assert connectivity_witness(ladder7()) is None
     chain = DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2)])
-    assert not is_strongly_connected(chain)
     witness = connectivity_witness(chain)
     assert witness is not None
     u, v = witness

@@ -22,11 +22,10 @@ from prodform import (
     ancestors_avoiding,
     is_jaf,
     mutually_avoiding_ancestors,
-    narrow_second_level_cuts,
     sps_relation,
 )
 from prodform import higher_level
-from prodform.graph_core import DirectedGraph, NodeSet, is_strongly_connected
+from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
 from prodform.numeric import random_rates, stationary, verify_relation
 
 from util import bipartition_sources, random_strongly_connected
@@ -48,6 +47,12 @@ def _fixture_pairs(pairs) -> list[tuple[frozenset[str], frozenset[str]]]:
     return [(frozenset(a), frozenset(b)) for a, b in pairs]
 
 
+def _level2_hyperedges(c: FormalChain, c1=None) -> tuple:
+    """The level-2 hyperedges of the recursion, empty when it finds none."""
+    levels = higher_level_cut_graph(c, 2, c1)
+    return levels[0].hyperedges if levels else ()
+
+
 # ---- narrow component-pair scan ----
 
 
@@ -56,7 +61,7 @@ def test_batch_v1_second_level_hyperedges():
     c = generate(spec)
     fx = expected_fixtures(spec)
     c1 = cut_graph(c)
-    hyperedges = narrow_second_level_cuts(c, c1)
+    hyperedges = _level2_hyperedges(c, c1)
     got = _source_pairs(c, hyperedges)
     expected = _fixture_pairs(fx.level2_sources)
     # The interior hyperedges plus the one at the truncation boundary.
@@ -70,7 +75,7 @@ def test_batch_v2_second_level_hyperedge():
     spec = ModelSpec(Family.BATCH_V2)
     c = generate(spec)
     fx = expected_fixtures(spec)
-    hyperedges = narrow_second_level_cuts(c, cut_graph(c))
+    hyperedges = _level2_hyperedges(c)
     assert _source_pairs(c, hyperedges) == _fixture_pairs(fx.level2_sources)
     (h,) = hyperedges
     assert _labels(c, h.cut.side_a) == frozenset({"0", "1", "bar1", "bar2"})
@@ -81,14 +86,14 @@ def test_ladder_second_level_hyperedges():
     spec = ModelSpec(Family.LADDER)
     c = generate(spec)
     fx = expected_fixtures(spec)
-    hyperedges = narrow_second_level_cuts(c, cut_graph(c))
+    hyperedges = _level2_hyperedges(c)
     assert _source_pairs(c, hyperedges) == _fixture_pairs(fx.level2_sources)
 
 
 def test_connected_first_level_graph_has_no_second_level():
     for family in (Family.MSJ_SATURATED, Family.BIRTH_DEATH, Family.ONE_WAY_CYCLE):
         c = generate(ModelSpec(family))
-        assert narrow_second_level_cuts(c, cut_graph(c)) == ()
+        assert _level2_hyperedges(c) == ()
 
 
 # ---- level recursion ----
@@ -149,7 +154,7 @@ def test_hyperedge_sources_are_sound_across_random_chains():
         g = random_strongly_connected(rng, n=6)
         c = FormalChain(g)
         c1 = cut_graph(c)
-        for h in narrow_second_level_cuts(c, c1):
+        for h in _level2_hyperedges(c, c1):
             comp_i, comp_j = c1.components[h.comp_i], c1.components[h.comp_j]
             assert h.source_i and h.source_j
             assert h.source_i.issubset(comp_i) and h.source_j.issubset(comp_j)
@@ -167,7 +172,7 @@ def test_batch_v1_displayed_two_hop_composition():
     c = generate(spec)
     fx = expected_fixtures(spec)
     c1 = cut_graph(c)
-    hyperedges = narrow_second_level_cuts(c, c1)
+    hyperedges = _level2_hyperedges(c, c1)
     by_sources = {(_labels(c, h.source_i), _labels(c, h.source_j)): h for h in hyperedges}
     h12 = by_sources[(frozenset({"1", "bar1"}), frozenset({"2"}))]
     h23 = by_sources[(frozenset({"2", "bar2"}), frozenset({"3"}))]
@@ -190,7 +195,7 @@ def test_batch_v1_displayed_two_hop_composition():
 def test_sum_of_ratio_relation_holds_for_any_member_choice():
     c = generate(ModelSpec(Family.BATCH_V2))
     c1 = cut_graph(c)
-    (h,) = narrow_second_level_cuts(c, c1)
+    (h,) = _level2_hyperedges(c, c1)
     comp_i, comp_j = c1.components[h.comp_i], c1.components[h.comp_j]
     for i_star in comp_i:
         for j_star in comp_j:
@@ -207,7 +212,7 @@ def test_singleton_sources_degenerate_to_width_level():
     # singleton side staying a plain crossing sum.
     c = generate(ModelSpec(Family.LADDER))
     c1 = cut_graph(c)
-    hyperedges = narrow_second_level_cuts(c, c1)
+    hyperedges = _level2_hyperedges(c, c1)
     by_sources = {(_labels(c, h.source_i), _labels(c, h.source_j)): h for h in hyperedges}
     h = by_sources[(frozenset({"2", "5"}), frozenset({"3"}))]
     idx = c.graph.index_of
@@ -222,7 +227,7 @@ def test_singleton_sources_degenerate_to_width_level():
 def test_relation_rejects_members_outside_components():
     c = generate(ModelSpec(Family.BATCH_V1))
     c1 = cut_graph(c)
-    hyperedges = narrow_second_level_cuts(c, c1)
+    hyperedges = _level2_hyperedges(c, c1)
     h = hyperedges[0]
     idx = c.graph.index_of
     with pytest.raises(InvalidArgumentError, match="belong to the hyperedge"):
@@ -263,7 +268,7 @@ def test_broad_search_contains_narrow_sources():
     for family in (Family.BATCH_V1, Family.BATCH_V2):
         c = generate(ModelSpec(family))
         c1 = cut_graph(c)
-        for h in narrow_second_level_cuts(c, c1):
+        for h in _level2_hyperedges(c, c1):
             found = broad_cut_search(c, c1.components[h.comp_i], c1.components[h.comp_j])
             assert (h.source_i, h.source_j) in found
 
@@ -288,7 +293,7 @@ def test_broad_search_runs_within_its_budget():
     assert broad_cut_search(c, k1, k2)
 
 
-# ---- settled-pair rescan and one-closure freeness test ----
+# ---- settled-pair rescan and lane-scan freeness test ----
 
 
 def _full_rescan(c: FormalChain, max_level: int) -> list:
@@ -339,7 +344,7 @@ def _random_edge_chain(rng: random.Random, n: int) -> FormalChain:
     while True:
         edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
         g = DirectedGraph([str(i) for i in range(n)], edges)
-        if is_strongly_connected(g):
+        if connectivity_witness(g) is None:
             return FormalChain(g)
 
 
@@ -379,6 +384,8 @@ def test_recursion_matches_full_rescan_on_families(spec):
 
 
 def test_one_closure_freeness_agrees_with_is_jaf():
+    # The lane scan over (K1, K2, the leftover nodes) decides the pair (K1, K2);
+    # its free verdict must be joint-ancestor freeness, its cut the two closures.
     rng = random.Random(4404)
     verdicts = set()
     for k in range(600):
@@ -390,18 +397,24 @@ def test_one_closure_freeness_agrees_with_is_jaf():
         first = rng.sample(nodes[:cut], rng.randint(1, cut))
         second = rng.sample(nodes[cut:], rng.randint(1, n - cut))
         k1, k2 = NodeSet.of(first, n), NodeSet.of(second, n)
-        edge = higher_level._component_pair_edge(c, (k1, k2), 0, 1)
+        rest = (k1 | k2).complement()
+        comps = (k1, k2, rest) if rest else (k1, k2)
+        edges = {(h.comp_i, h.comp_j): h for h in higher_level._scan_pairs(c, comps, set())}
+        edge = edges.get((0, 1))
         free = is_jaf(c, k1, k2)
         assert (edge is not None) == free
         if free:
             assert edge.cut.side_b == ancestors_avoiding(c.graph, k2, k1)
             assert edge.cut.side_a == ancestors_avoiding(c.graph, k1, k2)
+        for (p, q), h in edges.items():
+            assert is_jaf(c, comps[p], comps[q])
+            assert h.cut.side_a == ancestors_avoiding(c.graph, comps[p], comps[q])
         verdicts.add(free)
     assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
-    "spec, closures",
+    "spec, pairs",
     [
         (ModelSpec(Family.TWO_WAY_CYCLE, {"n": 60}), 0),
         (ModelSpec(Family.BATCH_V2, {"truncation": 40}), 926),
@@ -409,18 +422,21 @@ def test_one_closure_freeness_agrees_with_is_jaf():
     ],
     ids=["twoway-60", "batchv2-40", "batchv1-3-40"],
 )
-def test_recursion_scan_counts_are_pinned(monkeypatch, spec, closures):
+def test_recursion_scan_counts_are_pinned(monkeypatch, spec, pairs):
+    # Pairs decided over all levels, one lane each; settled pairs get none.
     c = generate(spec)
     c1 = cut_graph(c)
-    calls = []
+    decided = []
+    scan = higher_level._free_lanes
 
     def counted(*args):
-        calls.append(args)
-        return ancestors_avoiding(*args)
+        for p, lanes, free, state in scan(*args):
+            decided.append(lanes.bit_count())
+            yield p, lanes, free, state
 
-    monkeypatch.setattr(higher_level, "ancestors_avoiding", counted)
+    monkeypatch.setattr(higher_level, "_free_lanes", counted)
     higher_level_cut_graph(c, 6, c1)
-    assert len(calls) == closures
+    assert sum(decided) == pairs
 
 
 # ---- serialization ----

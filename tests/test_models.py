@@ -16,7 +16,6 @@ from prodform import (
     generate,
     higher_level_cut_graph,
     is_jaf,
-    narrow_second_level_cuts,
     s_relation,
 )
 from prodform.graph_core import NodeSet
@@ -230,7 +229,8 @@ def test_batch_v2_component_cut_equation():
     spec = ModelSpec(Family.BATCH_V2)
     c = generate(spec)
     fx = expected_fixtures(spec)
-    (h,) = narrow_second_level_cuts(c, cut_graph(c))
+    (level2,) = higher_level_cut_graph(c, 2)
+    (h,) = level2.hyperedges
     (side_a, side_b) = fx.cut_sides[0]
     assert _labels(c, h.cut.side_a) == side_a
     assert _labels(c, h.cut.side_b) == side_b

@@ -5,7 +5,8 @@ import itertools
 import random
 from functools import cache
 
-from prodform.graph_core import DirectedGraph, NodeSet, is_strongly_connected
+from prodform.errors import InvalidArgumentError
+from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
 from prodform.numeric import RateAssignment, StationaryMeasure
 from prodform.product_form import Cut, FormalChain
 
@@ -81,7 +82,7 @@ def random_strongly_connected(rng: random.Random, n: int, extra_edge_prob: float
             if u != v and (u, v) not in edges and rng.random() < extra_edge_prob:
                 edges.add((u, v))
     g = DirectedGraph(labels, sorted(edges))
-    assert is_strongly_connected(g)
+    assert connectivity_witness(g) is None
     return g
 
 
@@ -189,6 +190,23 @@ def naive_ancestors(g: DirectedGraph, seed: set[int], avoid: set[int] = frozense
                 result.add(u)
                 changed = True
     return result
+
+
+def set_avoiding_subgraph(g: DirectedGraph, avoid: NodeSet) -> tuple[DirectedGraph, tuple[int, ...]]:
+    """The subgraph induced on ``V - avoid``, with labels preserved, and its parent index.
+
+    The parent index maps the subgraph's dense indices back to ``g``, so plain
+    ``ancestors`` on the subgraph is a reference for ``ancestors_avoiding``.
+    Removing every node is rejected (graphs are nonempty).
+    """
+    if avoid.universe != g.n:
+        raise InvalidArgumentError("avoided set belongs to a different graph")
+    if avoid.mask == (1 << g.n) - 1:
+        raise InvalidArgumentError("cannot remove every node")
+    keep = [i for i in range(g.n) if i not in avoid]
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = [(remap[u], remap[v]) for u, v in g.edge_list if u not in avoid and v not in avoid]
+    return DirectedGraph([g.labels[i] for i in keep], edges), tuple(keep)
 
 
 def nodeset(g: DirectedGraph, indices) -> NodeSet:
