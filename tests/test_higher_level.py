@@ -406,9 +406,16 @@ def test_one_closure_freeness_agrees_with_is_jaf():
         if free:
             assert edge.cut.side_b == ancestors_avoiding(c.graph, k2, k1)
             assert edge.cut.side_a == ancestors_avoiding(c.graph, k1, k2)
-        for (p, q), h in edges.items():
-            assert is_jaf(c, comps[p], comps[q])
-            assert h.cut.side_a == ancestors_avoiding(c.graph, comps[p], comps[q])
+        # Every lane, free or not, holds its avoiding-ancestor set and its verdict.
+        for p, lanes, lane_free, state in higher_level._free_lanes(c.graph, [k.mask for k in comps]):
+            for q in range(p + 1, len(comps)):
+                assert lanes >> q & 1
+                side = ancestors_avoiding(c.graph, comps[p], comps[q])
+                assert {v for v, s in enumerate(state) if s >> q & 1} == set(side)
+                jaf = is_jaf(c, comps[p], comps[q])
+                assert bool(lane_free >> q & 1) == jaf == ((p, q) in edges)
+                if jaf:
+                    assert edges[p, q].cut.side_a == side
         verdicts.add(free)
     assert verdicts == {True, False}
 
