@@ -232,10 +232,10 @@ def _free_lanes(
     whether the pair is joint-ancestor free. A ``p`` without lanes is skipped.
 
     The states are the least fixpoint of "K_p holds every lane; any other node
-    holds what its successors hold, minus its own component's lane". The
-    update is monotone, so a FIFO worklist reaches it in any visiting order
-    (Kam & Ullman 1976); the lanes are the avoided sets of a multi-source
-    bit-parallel traversal (Then et al., PVLDB 8(4), 2014).
+    holds the union of its successors' lanes, minus its own component's lane".
+    The update is monotone, so a worklist reaches that fixpoint whatever the
+    visiting order (Kam & Ullman 1976); the lanes are the avoided sets of a
+    multi-source bit-parallel traversal (Then et al., PVLDB 8(4), 2014).
 
     Let A be lane q's side. In a strongly connected chain every node reaches
     K_p or K_q before the other, so V - A lies inside K_q's avoiding-ancestor
