@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from collections.abc import Sequence
@@ -84,6 +85,8 @@ def parse_document(text: str) -> GraphDocument:
         raise InvalidArgumentError(
             f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal over the int-to-str digit limit
+        raise InvalidArgumentError(f"parse error: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidArgumentError("document must be a JSON object")
     name = raw.get("name", "")
@@ -110,7 +113,10 @@ def parse_document(text: str) -> GraphDocument:
             value = entry["rate"]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise InvalidArgumentError(f"edge rate must be a number, got {value!r}")
-            rates.append(float(value))
+            try:
+                rates.append(float(value))
+            except OverflowError:
+                raise InvalidArgumentError(f"rate of edge {entry['from']}->{entry['to']} overflows a float") from None
     if rates and len(rates) != len(edges):
         raise InvalidArgumentError("either every edge carries a rate or none does")
     return GraphDocument(
@@ -223,6 +229,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidArgumentError(f"--seeds must be nonnegative, got {args.seeds}")
     if given is None and args.seeds == 0:
         raise InvalidArgumentError("the document has no rates, so --seeds must be at least 1")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InvalidArgumentError(f"--tol must be finite and nonnegative, got {args.tol}")
     labels = c.graph.labels
     found = analyze(c, max_level=2)
     relations, cuts = found.relations, found.cuts

@@ -10,11 +10,11 @@ level.
 One lane scan (``product_form._free_lanes``, which also gives the
 correctness argument) decides every component pair of a level at once, and
 the avoiding-ancestor sides it leaves behind are the cuts of the free pairs.
-The rescan skips pairs whose answer is already known;
-``higher_level_cut_graph`` says which and why that is exact.
+One level loop, ``_climb``, runs every level; it skips pairs whose answer is
+already known, and says which and why that is exact.
 
 ``analyze`` is the whole pipeline behind the command line's ``analyze`` and
-``verify``: the cut graph, the levels, and every relation and cut they check.
+``verify``: every level from 1 up, and every relation and cut they check.
 """
 from __future__ import annotations
 
@@ -22,26 +22,18 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .factors import (
-    FactorExpr,
-    RateAtom,
-    Relation,
-    SumExpr,
-    make_relation,
-    product_of,
-    sum_of,
-)
+from .factors import FactorExpr, Relation, make_relation, product_of, sum_of
 from .graph_core import NodeSet, _bfs_levels, _components, _descend
 from .product_form import (
     Cut,
     CutGraph,
     FormalChain,
+    _crossing_sum,
     _free_lanes,
     _sources,
     cut_graph,
     is_jaf,
     s_relation,
-    sourced_cut,
 )
 
 _BROAD_SEARCH_BUDGET = 12
@@ -101,34 +93,20 @@ def _scan_pairs(
     return tuple(edges)
 
 
-def _singletons(comps: tuple[NodeSet, ...]) -> set[int]:
-    return {comp.mask for comp in comps if len(comp) == 1}
-
-
-def higher_level_cut_graph(
-    c: FormalChain, max_level: int, c1: CutGraph | None = None
+def _climb(
+    c: FormalChain, comps: tuple[NodeSet, ...], settled: set[int], first: int, max_level: int
 ) -> list[CutHypergraph]:
-    """Run the merge-and-rescan recursion from level 2 up to ``max_level``.
+    """Scan, merge and rescan from level ``first`` up to ``max_level``.
 
-    Stops as soon as a level finds no hyperedge or everything has merged into
-    one component; levels that find nothing are not reported. A caller that
-    already holds ``cut_graph(c)`` passes it as ``c1``.
-
-    Each level rescans only pairs with at least one newly merged component.
-    At level 2 the singleton components are settled (two of them would be a
-    first-level edge); from level 3 on, every component the previous level
-    scanned is settled, because a pair of them was found not free there or
-    it would have merged. Skipping a settled pair therefore drops no
-    hyperedge, and the output equals a full rescan of every pair.
+    ``comps`` is level ``first``'s partition. Every level settles the
+    components the level before it scanned (``settled`` for level ``first``):
+    a pair of two of them was found not free there, or it would have merged,
+    so skipping it drops no hyperedge and the output equals a full rescan of
+    every pair. Stops at the first level that finds no hyperedge or leaves
+    one component; levels that find nothing are not reported.
     """
-    if max_level < 2:
-        raise InvalidArgumentError("the recursion starts at level 2")
-    if c1 is None:
-        c1 = cut_graph(c)
-    comps = c1.components
-    settled = _singletons(comps)
     levels: list[CutHypergraph] = []
-    for level in range(2, max_level + 1):
+    for level in range(first, max_level + 1):
         if len(comps) <= 1:
             break
         edges = _scan_pairs(c, comps, settled)
@@ -139,6 +117,21 @@ def higher_level_cut_graph(
         comps = tuple(NodeSet(m, c.graph.n) for m in merged)
         levels.append(CutHypergraph(level=level, hyperedges=edges, components=comps))
     return levels
+
+
+def higher_level_cut_graph(
+    c: FormalChain, max_level: int, c1: CutGraph | None = None
+) -> list[CutHypergraph]:
+    """Run the merge-and-rescan recursion from level 2 up to ``max_level``.
+
+    Level 2 scans the first-level components; level 1 scanned every single
+    node, so all are settled. A caller holding ``cut_graph(c)`` passes it as ``c1``.
+    """
+    if max_level < 2:
+        raise InvalidArgumentError("the recursion starts at level 2")
+    if c1 is None:
+        c1 = cut_graph(c)
+    return _climb(c, c1.components, {1 << v for v in range(c.graph.n)}, 2, max_level)
 
 
 # ---- sum-of-ratio relations ----
@@ -154,12 +147,6 @@ def _hop_factors(relations: Sequence[Relation]) -> _HopFactors:
         hops[r.lhs_node, r.rhs_node] = (r.lhs_factor, r.rhs_factor)
         hops[r.rhs_node, r.lhs_node] = (r.rhs_factor, r.lhs_factor)
     return hops
-
-
-def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
-    atoms = [RateAtom(node, t) for t in c.graph.out_adj[node] if t in far_side]
-    assert atoms, "a cut source must have at least one crossing edge"
-    return SumExpr(tuple(atoms))
 
 
 def _side_factor(
@@ -258,15 +245,27 @@ class Analysis:
 def analyze(c: FormalChain, max_level: int) -> Analysis:
     """Cut graph, levels up to ``max_level``, and every first- and second-level relation.
 
-    Each first-level cut is built once; the level-2 relations take their
-    per-hop factors from the first-level relations.
+    One level loop runs from level 1, the all-singletons partition: its
+    hyperedges are the cut-graph edges, each with its sourced cut read from
+    the lane scan. The level-2 relations take their per-hop factors from the
+    first-level relations.
     """
-    labels = c.graph.labels
-    c1 = cut_graph(c)
-    edge_order = sorted(c1.edges, key=lambda e: sorted((labels[e[0]], labels[e[1]])))
-    cuts = [sourced_cut(c, a, b) for a, b in edge_order]
+    if max_level < 1:
+        raise InvalidArgumentError(f"max_level must be at least 1, got {max_level}")
+    g = c.graph
+    singletons = tuple(NodeSet(1 << v, g.n) for v in range(g.n))
+    levels = _climb(c, singletons, set(), 1, max_level)
+    first = levels.pop(0) if levels else CutHypergraph(1, (), singletons)
+    c1 = CutGraph(frozenset((h.comp_i, h.comp_j) for h in first.hyperedges), first.components)
+    # Labels are unique, so label ranks order the edges as their sorted label pairs would.
+    rank = {v: r for r, v in enumerate(sorted(range(g.n), key=g.labels.__getitem__))}
+    ordered = sorted(
+        first.hyperedges,
+        key=lambda h: (a, b) if (a := rank[h.comp_i]) < (b := rank[h.comp_j]) else (b, a),
+    )
+    edge_order = [(h.comp_i, h.comp_j) for h in ordered]
+    cuts = [h.cut for h in ordered]
     relations = [s_relation(c, a, b, cut) for (a, b), cut in zip(edge_order, cuts)]
-    levels = higher_level_cut_graph(c, max_level, c1) if max_level >= 2 else []
     if levels:
         hops = _hop_factors(relations)
         second = levels[0].hyperedges

@@ -54,15 +54,10 @@ _DEFAULTS: dict[Family, dict[str, int]] = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A family plus its integer parameters.
-
-    ``truncation`` is a convenience alias for the ``truncation`` parameter of
-    the open-ended families; explicit ``params`` win over defaults.
-    """
+    """A family plus its integer parameters; explicit ``params`` win over defaults."""
 
     family: Family
     params: Mapping[str, int] = field(default_factory=dict)
-    truncation: int | None = None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -76,12 +71,6 @@ def _resolve(spec: ModelSpec) -> dict[str, int]:
     unknown = sorted(set(spec.params) - set(defaults))
     _require(not unknown, f"unknown parameters for {spec.family.value}: {', '.join(unknown)}")
     params.update(spec.params)
-    if spec.truncation is not None:
-        _require(
-            "truncation" in defaults,
-            f"family {spec.family.value} does not take a truncation level",
-        )
-        params["truncation"] = spec.truncation
     for key, value in params.items():
         _require(
             isinstance(value, int) and value >= 0,

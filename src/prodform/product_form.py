@@ -13,7 +13,7 @@ from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NotStronglyConnectedError
-from .factors import FactorExpr, Relation, SumExpr, RateAtom, make_relation, product_of, sum_of
+from .factors import FactorExpr, Relation, SumExpr, RateAtom, make_relation, product_of
 from .graph_core import (
     DirectedGraph,
     NodeSet,
@@ -122,6 +122,12 @@ def _sources(g: DirectedGraph, a_mask: int, b_mask: int) -> tuple[int, int]:
     return src_a, src_b
 
 
+def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
+    atoms = [RateAtom(node, t) for t in c.graph.out_adj[node] if t in far_side]
+    assert atoms, "a cut source must have at least one crossing edge"
+    return SumExpr(tuple(atoms))
+
+
 def cut_source(c: FormalChain, side_a: NodeSet) -> tuple[NodeSet, NodeSet]:
     """The source nodes of the bipartition (side_a, V - side_a), both directions."""
     g = c.graph
@@ -166,10 +172,7 @@ def s_factors(
         cut = sourced_cut(c, i, j)
         if cut is None:
             return None
-    g = c.graph
-    f_ij = sum_of(RateAtom(i, k) for k in g.out_adj[i] if k in cut.side_b)
-    f_ji = sum_of(RateAtom(j, k) for k in g.out_adj[j] if k in cut.side_a)
-    return f_ij, f_ji
+    return _crossing_sum(c, i, cut.side_b), _crossing_sum(c, j, cut.side_a)
 
 
 def s_relation(c: FormalChain, i: int, j: int, cut: Cut | None = None) -> Relation | None:

@@ -58,6 +58,18 @@ def test_parse_rejects_malformed_json_with_position():
             '[{"from": "a", "to": "b", "rate": 1.0}, {"from": "b", "to": "a"}]}',
             "every edge carries a rate or none",
         ),
+        pytest.param(
+            '{"nodes": ["a", "b"], "edges": [{"from": "a", "to": "b", "rate": 1'
+            + "0" * 400
+            + '}, {"from": "b", "to": "a", "rate": 1}]}',
+            "rate of edge a->b overflows a float",
+            id="rate-too-large-for-a-float",
+        ),
+        pytest.param(
+            '{"nodes": ["a"], "edges": [], "size": ' + "9" * 5000 + "}",
+            "parse error",
+            id="integer-over-the-digit-limit",
+        ),
     ],
 )
 def test_parse_rejects_invalid_documents(doc: str, message: str):
@@ -251,6 +263,26 @@ def test_verify_refuses_to_check_nothing(tmp_path, capsys, seeds: str):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seeds" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+def test_verify_rejects_a_negative_or_nonfinite_tolerance(tmp_path, capsys, tol: str):
+    path = _generate(tmp_path, "bd", "--n", "5")
+    capsys.readouterr()
+    assert cli.main(["verify", path, "--seeds", "1", f"--tol={tol}"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_analyze_rejects_a_max_level_below_one(tmp_path, capsys, level: str):
+    path = _generate(tmp_path, "bd", "--n", "5")
+    capsys.readouterr()
+    assert cli.main(["analyze", path, f"--max-level={level}"]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_level must be at least 1" in captured.err
 
 
 def test_verify_covers_second_level_cuts(tmp_path):

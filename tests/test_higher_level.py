@@ -12,6 +12,7 @@ from prodform import (
     InvalidArgumentError,
     ModelSpec,
     ResourceLimitError,
+    analyze,
     broad_cut_search,
     chain_relations,
     cut_graph,
@@ -22,6 +23,8 @@ from prodform import (
     ancestors_avoiding,
     is_jaf,
     mutually_avoiding_ancestors,
+    s_relation,
+    sourced_cut,
     sps_relation,
 )
 from prodform import higher_level
@@ -444,6 +447,48 @@ def test_recursion_scan_counts_are_pinned(monkeypatch, spec, pairs):
     monkeypatch.setattr(higher_level, "_free_lanes", counted)
     higher_level_cut_graph(c, 6, c1)
     assert sum(decided) == pairs
+
+
+# ---- the first level inside analyze ----
+
+# Every family at its default size, plus every chain size the benchmark runs.
+_ANALYZE_SPECS = _RESCAN_SPECS + [
+    ModelSpec(Family.ONE_WAY_CYCLE, {"n": 40}),
+    ModelSpec(Family.ONE_WAY_CYCLE, {"n": 60}),
+    ModelSpec(Family.BIRTH_DEATH, {"n": 100}),
+    ModelSpec(Family.QBD_TOY, {"blocks": 16, "blocksize": 5}),
+    ModelSpec(Family.TREE, {"n": 63}),
+]
+
+
+def _assert_first_level_matches_the_closures(c: FormalChain) -> int:
+    # analyze reads level 1 from the lane scan; the per-pair closures must agree.
+    found = analyze(c, 6)
+    c1 = cut_graph(c)
+    assert found.c1 == c1
+    labels = c.graph.labels
+    assert found.edge_order == sorted(c1.edges, key=lambda e: sorted((labels[e[0]], labels[e[1]])))
+    assert len(found.cuts) == len(found.relations) >= len(found.edge_order)
+    for (a, b), cut, relation in zip(found.edge_order, found.cuts, found.relations):
+        assert cut == sourced_cut(c, a, b)
+        assert relation == s_relation(c, a, b)
+    assert found.levels == higher_level_cut_graph(c, 6, c1)
+    return len(c1.edges)
+
+
+@pytest.mark.parametrize(
+    "spec", _ANALYZE_SPECS, ids=lambda s: "-".join([s.family.value, *map(str, s.params.values())])
+)
+def test_analyze_first_level_matches_the_closures_on_families(spec):
+    _assert_first_level_matches_the_closures(generate(spec))
+
+
+def test_analyze_first_level_matches_the_closures_on_random_chains():
+    rng = random.Random(5505)
+    edges = 0
+    for k in range(1000):
+        edges += _assert_first_level_matches_the_closures(_random_chain(rng, k))
+    assert edges > 1000
 
 
 # ---- serialization ----

@@ -55,13 +55,6 @@ def test_unknown_parameter_rejected():
         generate(ModelSpec(Family.BIRTH_DEATH, {"m": 3}))
 
 
-def test_truncation_alias():
-    spec = ModelSpec(Family.BATCH_V1, truncation=5)
-    assert generate(spec).graph.n == generate(ModelSpec(Family.BATCH_V1, {"truncation": 5})).graph.n
-    with pytest.raises(InvalidArgumentError, match="truncation"):
-        generate(ModelSpec(Family.LADDER, truncation=5))
-
-
 @pytest.mark.parametrize(
     "family,params",
     [
