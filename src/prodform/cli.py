@@ -14,6 +14,7 @@ import random
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     InvalidArgumentError,
@@ -164,8 +165,38 @@ def _load(path: str) -> tuple[GraphDocument, FormalChain, RateAssignment | None]
     return doc, c, rates
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, one ``str.join`` per container.
+
+    ``indent`` is the newline and indent before the closing bracket. Numbers use
+    ``int.__repr__``/``float.__repr__``, so numpy scalars print as plain numbers.
+    A non-string key or a value of any other type raises ``TypeError``.
+    """
+    if isinstance(value, dict):
+        inner = indent + "  "
+        # String items are quoted in place, which saves a call per label.
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json_text(v, inner))
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        items = [_quote(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(payload: dict, path: str | None) -> None:
-    _write_text(json.dumps(payload, indent=2) + "\n", path)
+    _write_text(_json_text(payload) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -461,6 +492,9 @@ def _broad_exit_code(skipped: int) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.input == "random":
+        for flag, value in (("--samples", args.samples), ("--nodes", args.nodes)):
+            if value < 1:
+                raise InvalidArgumentError(f"{flag} must be at least 1, got {value}")
         rng = random.Random(args.seed)
         counter1: list[str] = []
         counter2: list[str] = []
@@ -525,6 +559,8 @@ def _dot_node(label: str) -> str:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    if args.annotate < 0:
+        raise InvalidArgumentError(f"--annotate must be nonnegative, got {args.annotate}")
     doc, c, _ = _load(args.input)
     labels = c.graph.labels
     lines = [f"digraph {_dot_id(doc.name or 'chain')} {{", "  rankdir=LR;", "  node [shape=circle];"]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -101,7 +102,7 @@ def test_round_trip_normalizes_node_order():
 
 def test_round_trip_fixed_point_for_generated_documents(tmp_path):
     path = _generate(tmp_path, "msj")
-    doc = cli.parse_document(open(path, encoding="utf-8").read())
+    doc = cli.parse_document(Path(path).read_text(encoding="utf-8"))
     chain, rates = cli.document_to_chain(doc)
     assert cli.emit_document(chain, doc.name, rates) == doc
 
@@ -195,7 +196,7 @@ def test_analyze_output_is_deterministic(tmp_path):
     second = str(tmp_path / "r2.json")
     assert cli.main(["analyze", path, "--max-level", "2", "--out", first]) == cli.EXIT_OK
     assert cli.main(["analyze", path, "--max-level", "2", "--out", second]) == cli.EXIT_OK
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 # ---- verify ----
@@ -283,6 +284,24 @@ def test_analyze_rejects_a_max_level_below_one(tmp_path, capsys, level: str):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "max_level must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oracle", "random", "--samples", "-2"], "--samples must be at least 1, got -2"),
+        (["oracle", "random", "--nodes", "0", "--samples", "3"], "--nodes must be at least 1, got 0"),
+        (["export", "DOC", "--annotate", "-1"], "--annotate must be nonnegative, got -1"),
+    ],
+    ids=["oracle-samples", "oracle-nodes", "export-annotate"],
+)
+def test_flags_that_would_check_or_draw_nothing_are_rejected(tmp_path, capsys, argv, message):
+    path = _generate(tmp_path, "bd", "--n", "5")
+    capsys.readouterr()
+    assert cli.main([path if arg == "DOC" else arg for arg in argv]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_verify_covers_second_level_cuts(tmp_path):
@@ -444,7 +463,7 @@ def test_oracle_random_is_deterministic(tmp_path):
     args = ["oracle", "random", "--nodes", "5", "--samples", "20", "--mode", "broad"]
     assert cli.main([*args, "--out", first]) == cli.EXIT_OK
     assert cli.main([*args, "--out", second]) == cli.EXIT_OK
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 # ---- export ----
@@ -457,7 +476,7 @@ def _dot_lines(tmp_path, family: str, annotate: int, *flags: str) -> list[str]:
     if annotate:
         args += ["--annotate", str(annotate)]
     assert cli.main(args) == cli.EXIT_OK
-    return open(dot, encoding="utf-8").read().splitlines()
+    return Path(dot).read_text(encoding="utf-8").splitlines()
 
 
 def test_export_plain_digraph(tmp_path):
@@ -495,4 +514,4 @@ def test_export_is_deterministic(tmp_path):
     second = str(tmp_path / "b.dot")
     assert cli.main(["export", path, "--annotate", "1", "--dot", first]) == cli.EXIT_OK
     assert cli.main(["export", path, "--annotate", "1", "--dot", second]) == cli.EXIT_OK
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
