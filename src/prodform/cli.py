@@ -492,9 +492,10 @@ def _broad_exit_code(skipped: int) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.input == "random":
-        for flag, value in (("--samples", args.samples), ("--nodes", args.nodes)):
-            if value < 1:
-                raise InvalidArgumentError(f"{flag} must be at least 1, got {value}")
+        # A chain of fewer than two nodes has no pair to compare.
+        for flag, value, least in (("--samples", args.samples, 1), ("--nodes", args.nodes, 2)):
+            if value < least:
+                raise InvalidArgumentError(f"{flag} must be at least {least}, got {value}")
         rng = random.Random(args.seed)
         counter1: list[str] = []
         counter2: list[str] = []

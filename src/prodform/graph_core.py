@@ -171,9 +171,6 @@ class DirectedGraph:
     def full_set(self) -> NodeSet:
         return NodeSet.full(self.n)
 
-    def set_of(self, indices: Iterable[int]) -> NodeSet:
-        return NodeSet.of(indices, self.n)
-
     def set_of_labels(self, labels: Iterable[str]) -> NodeSet:
         try:
             return NodeSet.of((self.index_of[x] for x in labels), self.n)

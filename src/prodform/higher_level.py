@@ -30,7 +30,7 @@ from .product_form import (
     FormalChain,
     _crossing_sum,
     _free_lanes,
-    _sources,
+    _leaving,
     cut_graph,
     is_jaf,
     s_relation,
@@ -69,36 +69,36 @@ class CutHypergraph:
 # ---- discovery ----
 
 
-def _scan_pairs(
-    c: FormalChain, comps: tuple[NodeSet, ...], settled: set[int]
-) -> tuple[HyperEdge, ...]:
-    """Hyperedges between component pairs, skipping pairs of two ``settled`` masks."""
+def _scan_pairs(c: FormalChain, comps: Sequence[int], settled: set[int]) -> tuple[HyperEdge, ...]:
+    """Hyperedges between the pairs of a mask partition, skipping pairs of two ``settled`` masks.
+
+    A free lane's sources are read from its own two components, where
+    ``_free_lanes`` shows they lie.
+    """
     g = c.graph
     n = g.n
+    full = (1 << n) - 1
     edges = []
-    for p, _, free, state in _free_lanes(g, [comp.mask for comp in comps], settled):
+    for p, _, free, state in _free_lanes(g, comps, settled):
         while free:
             lane = free & -free
             free ^= lane
             q = lane.bit_length() - 1
-            side_a = NodeSet(sum(1 << v for v, s in enumerate(state) if s & lane), n)
-            side_b = side_a.complement()
-            src_a, src_b = _sources(g, side_a.mask, side_b.mask)
-            source_i = NodeSet(src_a, n)
-            source_j = NodeSet(src_b, n)
-            assert source_i and source_i.issubset(comps[p]), "sources must sit in the first component"
-            assert source_j and source_j.issubset(comps[q]), "sources must sit in the second component"
-            cut = Cut(side_a, side_b, source_i, source_j)
+            side_a = sum(1 << v for v, s in enumerate(state) if s & lane)
+            side_b = full ^ side_a
+            source_i = NodeSet(_leaving(g, comps[p], side_b), n)
+            source_j = NodeSet(_leaving(g, comps[q], side_a), n)
+            cut = Cut(NodeSet(side_a, n), NodeSet(side_b, n), source_i, source_j)
             edges.append(HyperEdge(source_i, source_j, p, q, cut))
     return tuple(edges)
 
 
 def _climb(
-    c: FormalChain, comps: tuple[NodeSet, ...], settled: set[int], first: int, max_level: int
+    c: FormalChain, comps: list[int], settled: set[int], first: int, max_level: int
 ) -> list[CutHypergraph]:
     """Scan, merge and rescan from level ``first`` up to ``max_level``.
 
-    ``comps`` is level ``first``'s partition. Every level settles the
+    ``comps`` is level ``first``'s partition as masks. Every level settles the
     components the level before it scanned (``settled`` for level ``first``):
     a pair of two of them was found not free there, or it would have merged,
     so skipping it drops no hyperedge and the output equals a full rescan of
@@ -112,10 +112,10 @@ def _climb(
         edges = _scan_pairs(c, comps, settled)
         if not edges:
             break
-        settled = {comp.mask for comp in comps}
-        merged = _components([comp.mask for comp in comps], [(e.comp_i, e.comp_j) for e in edges])
-        comps = tuple(NodeSet(m, c.graph.n) for m in merged)
-        levels.append(CutHypergraph(level=level, hyperedges=edges, components=comps))
+        settled = set(comps)
+        comps = _components(comps, [(e.comp_i, e.comp_j) for e in edges])
+        merged = tuple(NodeSet(m, c.graph.n) for m in comps)
+        levels.append(CutHypergraph(level=level, hyperedges=edges, components=merged))
     return levels
 
 
@@ -131,7 +131,8 @@ def higher_level_cut_graph(
         raise InvalidArgumentError("the recursion starts at level 2")
     if c1 is None:
         c1 = cut_graph(c)
-    return _climb(c, c1.components, {1 << v for v in range(c.graph.n)}, 2, max_level)
+    comps = [comp.mask for comp in c1.components]
+    return _climb(c, comps, {1 << v for v in range(c.graph.n)}, 2, max_level)
 
 
 # ---- sum-of-ratio relations ----
@@ -253,9 +254,12 @@ def analyze(c: FormalChain, max_level: int) -> Analysis:
     if max_level < 1:
         raise InvalidArgumentError(f"max_level must be at least 1, got {max_level}")
     g = c.graph
-    singletons = tuple(NodeSet(1 << v, g.n) for v in range(g.n))
+    singletons = [1 << v for v in range(g.n)]
     levels = _climb(c, singletons, set(), 1, max_level)
-    first = levels.pop(0) if levels else CutHypergraph(1, (), singletons)
+    if levels:
+        first = levels.pop(0)
+    else:
+        first = CutHypergraph(1, (), tuple(NodeSet(m, g.n) for m in singletons))
     c1 = CutGraph(frozenset((h.comp_i, h.comp_j) for h in first.hyperedges), first.components)
     # Labels are unique, so label ranks order the edges as their sorted label pairs would.
     rank = {v: r for r, v in enumerate(sorted(range(g.n), key=g.labels.__getitem__))}
@@ -294,24 +298,20 @@ def broad_cut_search(c: FormalChain, k1: NodeSet, k2: NodeSet) -> list[tuple[Nod
             f"subset search over {total} nodes exceeds the budget of {_BROAD_SEARCH_BUDGET}"
         )
     n = c.graph.n
-    members_1 = sorted(k1)
-    members_2 = sorted(k2)
     found: list[tuple[NodeSet, NodeSet]] = []
-    for bits_1 in range(1, 1 << len(members_1)):
-        i_mask = 0
-        for pos, node in enumerate(members_1):
-            if bits_1 >> pos & 1:
-                i_mask |= 1 << node
+    # Each walk visits every nonempty submask once in decreasing order, so the
+    # reversed list is sorted by (I, J).
+    i_mask = k1.mask
+    while i_mask:
         i_set = NodeSet(i_mask, n)
-        for bits_2 in range(1, 1 << len(members_2)):
-            j_mask = 0
-            for pos, node in enumerate(members_2):
-                if bits_2 >> pos & 1:
-                    j_mask |= 1 << node
+        j_mask = k2.mask
+        while j_mask:
             j_set = NodeSet(j_mask, n)
             if is_jaf(c, i_set, j_set):
                 found.append((i_set, j_set))
-    found.sort(key=lambda pair: (pair[0].mask, pair[1].mask))
+            j_mask = (j_mask - 1) & k2.mask
+        i_mask = (i_mask - 1) & k1.mask
+    found.reverse()
     return found
 
 

@@ -102,24 +102,20 @@ def is_jaf(c: FormalChain, i_set: NodeSet, j_set: NodeSet) -> bool:
     return a.isdisjoint(b)
 
 
+def _leaving(g: DirectedGraph, within: int, into: int) -> int:
+    """The nodes of ``within`` with an edge into ``into``, as a mask."""
+    found = 0
+    m = within
+    while m:
+        low = m & -m
+        if g.out_mask[low.bit_length() - 1] & into:
+            found |= low
+        m ^= low
+    return found
+
+
 def _sources(g: DirectedGraph, a_mask: int, b_mask: int) -> tuple[int, int]:
-    src_a = 0
-    src_b = 0
-    m = a_mask
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        if g.out_mask[u] & b_mask:
-            src_a |= low
-        m ^= low
-    m = b_mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if g.out_mask[v] & a_mask:
-            src_b |= low
-        m ^= low
-    return src_a, src_b
+    return _leaving(g, a_mask, b_mask), _leaving(g, b_mask, a_mask)
 
 
 def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
@@ -245,7 +241,9 @@ def _free_lanes(
     set. A node of A outside K_p with an edge out of A therefore reaches K_q
     while avoiding K_p, a joint ancestor; and any joint ancestor in A leaves
     A on its way to K_q through such an edge. So the pair is free exactly when
-    every source of A lies in K_p, and then the cut is (A, V - A). A node
+    every source of A lies in K_p, and then the cut is (A, V - A). Every
+    source of V - A lies in K_q: a node of V - A outside K_q with an edge into
+    A would reach K_p while avoiding K_q, so it would be in A. A node
     outside K_p spoils every lane it holds that one of its successors lacks.
     """
     n = g.n
@@ -332,12 +330,6 @@ class CliqueAnalysis:
     quotient_edges: frozenset[tuple[int, int]]
     cycle_order: tuple[int, ...]
 
-    def territory(self, member: int) -> NodeSet:
-        for m, t in self.territories:
-            if m == member:
-                return t
-        raise InvalidArgumentError(f"node {member} is not a clique member")
-
 
 def clique_check(c: FormalChain, k: NodeSet) -> CliqueAnalysis | None:
     """Decide whether ``k`` is a clique of the cut graph, via territories.
@@ -355,46 +347,32 @@ def clique_check(c: FormalChain, k: NodeSet) -> CliqueAnalysis | None:
     if len(members) < 2:
         raise InvalidArgumentError("a clique needs at least two nodes")
     full = (1 << g.n) - 1
-    territories: list[tuple[int, NodeSet]] = []
+    territories: list[int] = []
     union = 0
     for i in members:
-        others = k.mask & ~(1 << i)
-        t = _closure(g.in_mask, 1 << i, full & ~others)
-        for _, prev in territories:
-            if prev.mask & t:
-                return None
-        territories.append((i, NodeSet(t, g.n)))
+        t = _closure(g.in_mask, 1 << i, full & ~k.mask)
+        if union & t:
+            return None
+        territories.append(t)
         union |= t
     assert union == full, "territories of a strongly connected chain must cover all nodes"
     # quotient graph: an edge m1 -> m2 when any edge leaves m1's territory into m2's
-    quotient: dict[int, set[int]] = {m: set() for m in members}
-    for m1, t1 in territories:
-        for m2, t2 in territories:
-            if m1 == m2:
-                continue
-            if any(g.out_mask[u] & t2.mask for u in t1):
-                quotient[m1].add(m2)
-    indeg = {m: 0 for m in members}
-    for m1, outs in quotient.items():
+    succ: dict[int, int] = {}
+    for m1, t1 in zip(members, territories):
+        outs = [m2 for m2, t2 in zip(members, territories) if m2 != m1 and _leaving(g, t1, t2)]
         if len(outs) != 1:
             return None
-        for m2 in outs:
-            indeg[m2] += 1
-    if any(d != 1 for d in indeg.values()):
-        return None
-    # single cycle through every member (not several disjoint cycles)
-    start = members[0]
-    order = [start]
-    here = next(iter(quotient[start]))
-    while here != start:
+        succ[m1] = outs[0]
+    # The quotient of a strongly connected chain is strongly connected, so with
+    # one edge out of every member it is a single cycle through all of them.
+    order = [members[0]]
+    while (here := succ[order[-1]]) != order[0]:
         order.append(here)
-        here = next(iter(quotient[here]))
-    if len(order) != len(members):
-        return None
+    assert len(order) == len(members), "a strongly connected quotient must be one cycle"
     return CliqueAnalysis(
         clique=k,
-        territories=tuple(territories),
-        quotient_edges=frozenset((m1, m2) for m1, outs in quotient.items() for m2 in outs),
+        territories=tuple((m, NodeSet(t, g.n)) for m, t in zip(members, territories)),
+        quotient_edges=frozenset(succ.items()),
         cycle_order=tuple(order),
     )
 
@@ -403,22 +381,18 @@ def clique_territory_cut(c: FormalChain, analysis: CliqueAnalysis, i: int, j: in
     """The (i, j)-sourced cut implied by a verified clique, assembled from territories.
 
     Side A unions the territories of the quotient-cycle members that reach i
-    without passing j; side B the rest. Equals ``sourced_cut(c, i, j)``.
+    without passing j: the arc of ``cycle_order`` from j's successor to i.
+    Side B is the rest. Equals ``sourced_cut(c, i, j)``.
     """
-    members = [m for m, _ in analysis.territories]
-    if i not in members or j not in members or i == j:
+    territory = dict(analysis.territories)
+    if i not in territory or j not in territory or i == j:
         raise InvalidArgumentError("both nodes must be distinct clique members")
-    index = {m: p for p, m in enumerate(members)}
-    quotient = DirectedGraph(
-        [str(m) for m in members],
-        [(index[a], index[b]) for a, b in sorted(analysis.quotient_edges)],
-    )
-    reach_i = ancestors_avoiding(
-        quotient, NodeSet.of([index[i]], len(members)), NodeSet.of([index[j]], len(members))
-    )
+    order = analysis.cycle_order
+    after_j = order.index(j) + 1
+    walk = order[after_j:] + order[:after_j]
     side_a_mask = 0
-    for p in reach_i:
-        side_a_mask |= analysis.territory(members[p]).mask
+    for m in walk[: walk.index(i) + 1]:
+        side_a_mask |= territory[m].mask
     side_a = NodeSet(side_a_mask, c.graph.n)
     side_b = side_a.complement()
     src_a, src_b = _sources(c.graph, side_a.mask, side_b.mask)

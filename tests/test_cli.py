@@ -290,10 +290,11 @@ def test_analyze_rejects_a_max_level_below_one(tmp_path, capsys, level: str):
     "argv, message",
     [
         (["oracle", "random", "--samples", "-2"], "--samples must be at least 1, got -2"),
-        (["oracle", "random", "--nodes", "0", "--samples", "3"], "--nodes must be at least 1, got 0"),
+        (["oracle", "random", "--nodes", "0", "--samples", "3"], "--nodes must be at least 2, got 0"),
+        (["oracle", "random", "--nodes", "1", "--samples", "3"], "--nodes must be at least 2, got 1"),
         (["export", "DOC", "--annotate", "-1"], "--annotate must be nonnegative, got -1"),
     ],
-    ids=["oracle-samples", "oracle-nodes", "export-annotate"],
+    ids=["oracle-samples", "oracle-nodes", "oracle-one-node", "export-annotate"],
 )
 def test_flags_that_would_check_or_draw_nothing_are_rejected(tmp_path, capsys, argv, message):
     path = _generate(tmp_path, "bd", "--n", "5")

@@ -30,6 +30,7 @@ from prodform import (
 from prodform import higher_level
 from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
 from prodform.numeric import random_rates, stationary, verify_relation
+from prodform.product_form import _sources
 
 from util import bipartition_sources, random_strongly_connected
 
@@ -402,7 +403,12 @@ def test_one_closure_freeness_agrees_with_is_jaf():
         k1, k2 = NodeSet.of(first, n), NodeSet.of(second, n)
         rest = (k1 | k2).complement()
         comps = (k1, k2, rest) if rest else (k1, k2)
-        edges = {(h.comp_i, h.comp_j): h for h in higher_level._scan_pairs(c, comps, set())}
+        masks = [k.mask for k in comps]
+        edges = {(h.comp_i, h.comp_j): h for h in higher_level._scan_pairs(c, masks, set())}
+        # Sources read from the pair's two components equal those of the whole sides.
+        for h in edges.values():
+            whole = _sources(c.graph, h.cut.side_a.mask, h.cut.side_b.mask)
+            assert (h.source_i.mask, h.source_j.mask) == whole
         edge = edges.get((0, 1))
         free = is_jaf(c, k1, k2)
         assert (edge is not None) == free
@@ -410,7 +416,7 @@ def test_one_closure_freeness_agrees_with_is_jaf():
             assert edge.cut.side_b == ancestors_avoiding(c.graph, k2, k1)
             assert edge.cut.side_a == ancestors_avoiding(c.graph, k1, k2)
         # Every lane, free or not, holds its avoiding-ancestor set and its verdict.
-        for p, lanes, lane_free, state in higher_level._free_lanes(c.graph, [k.mask for k in comps]):
+        for p, lanes, lane_free, state in higher_level._free_lanes(c.graph, masks):
             for q in range(p + 1, len(comps)):
                 assert lanes >> q & 1
                 side = ancestors_avoiding(c.graph, comps[p], comps[q])
