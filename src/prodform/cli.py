@@ -588,7 +588,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             for k, h in enumerate(lv.hyperedges):
                 junction = f'"junction_{lv.level}_{k}"'
                 lines.append(f"  {junction} [shape=point, width=0.08];")
-                for v in sorted(h.source_i | h.source_j):
+                for v in sorted(h.cut.source_a | h.cut.source_b):
                     lines.append(
                         f"  {_dot_id(labels[v])} -> {junction} [dir=none, style=dotted, constraint=false];"
                     )

@@ -164,7 +164,7 @@ def _evaluate(e: FactorExpr, rates: Mapping[tuple[int, int], float]) -> float:
             raise InvalidArgumentError(f"no rate given for edge ({e.src}, {e.dst})") from None
     if isinstance(e, SumExpr):
         return sum(_evaluate(t, rates) for t in e.terms)
-    value = 1.0
+    value = 1
     for expr, exp in e.factors:
         child = _evaluate(expr, rates)
         value = value * child if exp > 0 else value / child

@@ -45,13 +45,11 @@ _BROAD_SEARCH_BUDGET = 12
 class HyperEdge:
     """A cut between two whole components of the previous level's graph.
 
-    ``comp_i``/``comp_j`` index the scanned partition; ``source_i``/``source_j``
-    are the actual source nodes of the cut, always nonempty subsets of the
-    respective components.
+    ``comp_i``/``comp_j`` index the scanned partition; the cut's
+    ``source_a``/``source_b`` are its actual source nodes, always nonempty
+    subsets of the respective components.
     """
 
-    source_i: NodeSet
-    source_j: NodeSet
     comp_i: int
     comp_j: int
     cut: Cut
@@ -86,10 +84,10 @@ def _scan_pairs(c: FormalChain, comps: Sequence[int], settled: set[int]) -> tupl
             q = lane.bit_length() - 1
             side_a = sum(1 << v for v, s in enumerate(state) if s & lane)
             side_b = full ^ side_a
-            source_i = NodeSet(_leaving(g, comps[p], side_b), n)
-            source_j = NodeSet(_leaving(g, comps[q], side_a), n)
-            cut = Cut(NodeSet(side_a, n), NodeSet(side_b, n), source_i, source_j)
-            edges.append(HyperEdge(source_i, source_j, p, q, cut))
+            source_a = NodeSet(_leaving(g, comps[p], side_b), n)
+            source_b = NodeSet(_leaving(g, comps[q], side_a), n)
+            cut = Cut(NodeSet(side_a, n), NodeSet(side_b, n), source_a, source_b)
+            edges.append(HyperEdge(p, q, cut))
     return tuple(edges)
 
 
@@ -187,8 +185,8 @@ def _sps_relation(
     adj: list[list[int]] = [[] for _ in range(c.graph.n)]
     for a, b in hops:
         adj[a].append(b)
-    lhs = _side_factor(c, adj, hops, i_star, h.source_i, h.cut.side_b)
-    rhs = _side_factor(c, adj, hops, j_star, h.source_j, h.cut.side_a)
+    lhs = _side_factor(c, adj, hops, i_star, h.cut.source_a, h.cut.side_b)
+    rhs = _side_factor(c, adj, hops, j_star, h.cut.source_b, h.cut.side_a)
     return make_relation(i_star, j_star, lhs, rhs)
 
 
@@ -274,7 +272,7 @@ def analyze(c: FormalChain, max_level: int) -> Analysis:
         hops = _hop_factors(relations)
         second = levels[0].hyperedges
         relations.extend(
-            _sps_relation(c, h, min(h.source_i), min(h.source_j), hops) for h in second
+            _sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), hops) for h in second
         )
         cuts.extend(h.cut for h in second)
     return Analysis(c1, edge_order, levels, relations, cuts)
@@ -375,8 +373,8 @@ def hypergraph_to_json(h: CutHypergraph, labels: Sequence[str]) -> dict:
         "level": h.level,
         "hyperedges": [
             {
-                "source_i": names(e.source_i),
-                "source_j": names(e.source_j),
+                "source_i": names(e.cut.source_a),
+                "source_j": names(e.cut.source_b),
                 "cut_a": names(e.cut.side_a),
                 "cut_b": names(e.cut.side_b),
             }

@@ -1,4 +1,4 @@
-"""Dense stationary solves, relation/cut verification, rate generation, and oracles.
+"""Stationary solves, relation/cut verification, rate generation, and oracles.
 
 Everything here instantiates the symbolic rates with concrete positive numbers:
 solving for the stationary measure, measuring how well a relation or cut
@@ -8,6 +8,7 @@ node pair.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 from .factors import Relation, evaluate
-from .graph_core import NodeSet, shortest_path
+from .graph_core import NodeSet, _bfs_levels, _descend, shortest_path
 from .product_form import ChainKind, Cut, FormalChain, _sources, mutually_avoiding_ancestors
 
 _SOLVER_NODE_BUDGET = 2000
@@ -32,7 +33,6 @@ class RateAssignment:
     """Positive values for every edge; DTMC rows are probability distributions."""
 
     values: Mapping[tuple[int, int], float]
-    kind: ChainKind
 
 
 def rate_assignment(
@@ -52,7 +52,7 @@ def rate_assignment(
             f"rate map does not match the edge set (missing {missing[:3]}, extra {extra[:3]})"
         )
     for e, v in values.items():
-        if not (v > 0.0) or not np.isfinite(v):
+        if not (v > 0) or not math.isfinite(v):
             raise InvalidArgumentError(f"rate for edge {e} must be positive and finite, got {v!r}")
     if kind is ChainKind.DTMC:
         for u in range(g.n):
@@ -61,22 +61,21 @@ def rate_assignment(
                 raise InvalidArgumentError(
                     f"outgoing probabilities of node {g.labels[u]!r} sum to {total!r}, not 1"
                 )
-    return RateAssignment(dict(values), kind)
+    return RateAssignment(dict(values))
 
 
-def random_rates(c: FormalChain, seed: int, kind: ChainKind | None = None) -> RateAssignment:
+def random_rates(c: FormalChain, seed: int) -> RateAssignment:
     """Deterministic per-seed assignment, log-uniform in [0.1, 10]; DTMC rows normalized."""
-    kind = c.kind if kind is None else kind
     g = c.graph
     rng = np.random.default_rng(seed)
     raw = 10.0 ** rng.uniform(-1.0, 1.0, g.edge_count)
     values = {e: float(x) for e, x in zip(g.edge_list, raw)}
-    if kind is ChainKind.DTMC:
+    if c.kind is ChainKind.DTMC:
         for u in range(g.n):
             total = sum(values[(u, v)] for v in g.out_adj[u])
             for v in g.out_adj[u]:
                 values[(u, v)] /= total
-    return rate_assignment(c, values, kind)
+    return rate_assignment(c, values)
 
 
 # ---- stationary measure ----
@@ -87,7 +86,6 @@ class StationaryMeasure:
     """Strictly positive per-node stationary weights."""
 
     pi: tuple[float, ...]
-    normalized: bool
 
     def __getitem__(self, v: int) -> float:
         return self.pi[v]
@@ -97,51 +95,56 @@ class StationaryMeasure:
 
 
 def stationary(c: FormalChain, rates: RateAssignment) -> StationaryMeasure:
-    """Solve the balance equations by a dense direct solve and normalize.
+    """Grassmann-Taksar-Heyman state reduction, then normalization.
 
-    One balance row is replaced by the normalization row (the system is rank
-    n-1 for a strongly connected chain). The result is checked row by row:
-    outflow pi[i] * sum_j q(i,j) must match inflow sum_k pi[k] * q(k,i) to a
-    relative residual of 1e-10.
+    States are censored from the last index down: each remaining state's rate
+    into the censored state k is spread over k's out-rates pro rata, self-loops
+    dropped, so nothing is subtracted; the back pass sets pi[k] to its inflow
+    from the states below k over k's censored row sum. Exact rationals give an
+    exact measure. Each node's in- and outflow must agree to 1e-10 (relative).
     """
     g = c.graph
     n = g.n
     if n > _SOLVER_NODE_BUDGET:
-        raise ResourceLimitError(f"chain has {n} nodes; the dense solver budget is {_SOLVER_NODE_BUDGET}")
-    a = np.zeros((n, n))
+        raise ResourceLimitError(f"chain has {n} nodes; the solver budget is {_SOLVER_NODE_BUDGET}")
+    out: list[dict[int, float]] = [{} for _ in range(n)]
+    into: list[set[int]] = [set() for _ in range(n)]
     for (u, v), q in rates.values.items():
-        a[v, u] += q  # inflow to v from u
-        a[u, u] -= q  # outflow from u
-    a[n - 1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
-    try:
-        pi = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:  # unreachable for valid chains
-        raise NumericError(f"stationary solve failed: {exc}") from exc
-
-    def balance_worst(vec: np.ndarray) -> float:
-        out_flow = np.zeros(n)
-        in_flow = np.zeros(n)
-        for (u, v), q in rates.values.items():
-            out_flow[u] += vec[u] * q
-            in_flow[v] += vec[u] * q
-        residual = np.abs(out_flow - in_flow) / (out_flow + in_flow)
-        return float(residual.max())
-
-    worst = balance_worst(pi)
-    for _ in range(2):
-        # Iterative refinement recovers the digits a single dense solve loses
-        # on badly scaled instances.
-        if worst <= _BALANCE_TOLERANCE:
-            break
-        pi = pi + np.linalg.solve(a, rhs - a @ pi)
-        worst = balance_worst(pi)
-    if not np.all(pi > 0.0):
-        raise NumericError(f"stationary solve produced non-positive entries: min {pi.min()!r}")
+        if u != v:
+            out[u][v] = q
+            into[v].add(u)
+    censored = []
+    for k in range(n - 1, 0, -1):
+        row = out[k]
+        total = sum(row.values())
+        if not total > 0:
+            raise NumericError(f"stationary solve underflowed: state {k} keeps no out-rate")
+        inflow = [(i, out[i].pop(k)) for i in sorted(into[k]) if i < k]
+        for i, q in inflow:
+            share, target = q / total, out[i]
+            for j, p in row.items():
+                if j in target:
+                    target[j] += share * p
+                else:
+                    target[j] = share * p
+                    into[j].add(i)
+            target.pop(i, None)  # the self-loop i -> k -> i
+        censored.append((k, inflow, total))
+    pi = [1] * n
+    for k, inflow, total in reversed(censored):
+        pi[k] = sum(pi[i] * q for i, q in inflow) / total
+    mass = sum(pi)
+    pi = [x / mass for x in pi]
+    if not min(pi) > 0:
+        raise NumericError(f"stationary solve produced non-positive entries: min {min(pi)!r}")
+    out_flow, in_flow = [0] * n, [0] * n
+    for (u, v), q in rates.values.items():
+        out_flow[u] += pi[u] * q
+        in_flow[v] += pi[u] * q
+    worst = max((abs(o - i) / (o + i) for o, i in zip(out_flow, in_flow) if o + i), default=0)
     if worst > _BALANCE_TOLERANCE:
-        raise NumericError(f"balance residual {worst} exceeds {_BALANCE_TOLERANCE}")
-    return StationaryMeasure(tuple(float(x) for x in pi), normalized=True)
+        raise NumericError(f"balance residual {float(worst)} exceeds {_BALANCE_TOLERANCE}")
+    return StationaryMeasure(tuple(pi))
 
 
 # ---- verification ----
@@ -319,13 +322,9 @@ def theorem3_witness(c: FormalChain, i: int, j: int) -> WitnessPair | None:
     joint = anc_i & anc_j
     if not joint:
         return None
-    best: tuple[int, int] | None = None
-    for k in joint:
-        dist = len(shortest_path(g, k, i, avoid=NodeSet.of([j], g.n))) - 1
-        if best is None or (dist, k) < best:
-            best = (dist, k)
-    k = best[1]
-    path_a = shortest_path(g, k, i, avoid=NodeSet.of([j], g.n))
+    dist = _bfs_levels(g.in_adj, i, ~(1 << j))
+    _, k = min((dist[v], v) for v in joint)
+    path_a = _descend(g.out_adj, dist, k)
     path_b = shortest_path(g, k, j, avoid=NodeSet.of([i], g.n))
     shared = set(path_a) & set(path_b)
     assert shared == {k}, (

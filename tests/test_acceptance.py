@@ -231,7 +231,7 @@ def test_criterion_05_batch_chain_first_variant():
 
         second = higher_level_cut_graph(c, 2)[0]
         live_sources = {
-            (_labels(c, h.source_i), _labels(c, h.source_j)) for h in second.hyperedges
+            (_labels(c, h.cut.source_a), _labels(c, h.cut.source_b)) for h in second.hyperedges
         }
         assert len(fx.level2_sources) == 4
         for src_i, src_j in fx.level2_sources:
@@ -258,11 +258,11 @@ def test_criterion_06_batch_chain_second_variant():
         assert len(second.hyperedges) == 1
         assert len(third.hyperedges) == 1
         h2, h3 = second.hyperedges[0], third.hyperedges[0]
-        assert (_labels(c, h2.source_i), _labels(c, h2.source_j)) == (
+        assert (_labels(c, h2.cut.source_a), _labels(c, h2.cut.source_b)) == (
             frozenset({"bar1", "bar2"}),
             frozenset({"2"}),
         )
-        assert (_labels(c, h3.source_i), _labels(c, h3.source_j)) == (
+        assert (_labels(c, h3.cut.source_a), _labels(c, h3.cut.source_b)) == (
             frozenset({"bar2", "bar3"}),
             frozenset({"3"}),
         )

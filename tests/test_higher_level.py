@@ -44,7 +44,7 @@ def _by_labels(c: FormalChain, labels) -> NodeSet:
 
 
 def _source_pairs(c: FormalChain, hyperedges) -> list[tuple[frozenset[str], frozenset[str]]]:
-    return [(_labels(c, h.source_i), _labels(c, h.source_j)) for h in hyperedges]
+    return [(_labels(c, h.cut.source_a), _labels(c, h.cut.source_b)) for h in hyperedges]
 
 
 def _fixture_pairs(pairs) -> list[tuple[frozenset[str], frozenset[str]]]:
@@ -71,8 +71,8 @@ def test_batch_v1_second_level_hyperedges():
     # The interior hyperedges plus the one at the truncation boundary.
     assert got == expected + [(frozenset({"7", "bar7"}), frozenset({"8"}))]
     for h in hyperedges:
-        assert h.source_i.issubset(c1.components[h.comp_i])
-        assert h.source_j.issubset(c1.components[h.comp_j])
+        assert h.cut.source_a.issubset(c1.components[h.comp_i])
+        assert h.cut.source_b.issubset(c1.components[h.comp_j])
 
 
 def test_batch_v2_second_level_hyperedge():
@@ -160,8 +160,8 @@ def test_hyperedge_sources_are_sound_across_random_chains():
         c1 = cut_graph(c)
         for h in _level2_hyperedges(c, c1):
             comp_i, comp_j = c1.components[h.comp_i], c1.components[h.comp_j]
-            assert h.source_i and h.source_j
-            assert h.source_i.issubset(comp_i) and h.source_j.issubset(comp_j)
+            assert h.cut.source_a and h.cut.source_b
+            assert h.cut.source_a.issubset(comp_i) and h.cut.source_b.issubset(comp_j)
             assert is_jaf(c, comp_i, comp_j)
             assert (h.cut.side_a | h.cut.side_b) == NodeSet.full(g.n)
             assert h.cut.side_a.isdisjoint(h.cut.side_b)
@@ -177,7 +177,7 @@ def test_batch_v1_displayed_two_hop_composition():
     fx = expected_fixtures(spec)
     c1 = cut_graph(c)
     hyperedges = _level2_hyperedges(c, c1)
-    by_sources = {(_labels(c, h.source_i), _labels(c, h.source_j)): h for h in hyperedges}
+    by_sources = {(_labels(c, h.cut.source_a), _labels(c, h.cut.source_b)): h for h in hyperedges}
     h12 = by_sources[(frozenset({"1", "bar1"}), frozenset({"2"}))]
     h23 = by_sources[(frozenset({"2", "bar2"}), frozenset({"3"}))]
     idx = c.graph.index_of
@@ -217,7 +217,7 @@ def test_singleton_sources_degenerate_to_width_level():
     c = generate(ModelSpec(Family.LADDER))
     c1 = cut_graph(c)
     hyperedges = _level2_hyperedges(c, c1)
-    by_sources = {(_labels(c, h.source_i), _labels(c, h.source_j)): h for h in hyperedges}
+    by_sources = {(_labels(c, h.cut.source_a), _labels(c, h.cut.source_b)): h for h in hyperedges}
     h = by_sources[(frozenset({"2", "5"}), frozenset({"3"}))]
     idx = c.graph.index_of
     r = sps_relation(c, h, idx["2"], idx["3"], c1)
@@ -242,7 +242,7 @@ def test_relation_rejects_deeper_level_hyperedges():
     c = generate(ModelSpec(Family.BATCH_V2))
     levels = higher_level_cut_graph(c, 3)
     (deep,) = levels[1].hyperedges
-    members = sorted(deep.source_i) + sorted(deep.source_j)
+    members = sorted(deep.cut.source_a) + sorted(deep.cut.source_b)
     with pytest.raises(InvalidArgumentError):
         sps_relation(c, deep, members[0], members[-1])
 
@@ -274,7 +274,7 @@ def test_broad_search_contains_narrow_sources():
         c1 = cut_graph(c)
         for h in _level2_hyperedges(c, c1):
             found = broad_cut_search(c, c1.components[h.comp_i], c1.components[h.comp_j])
-            assert (h.source_i, h.source_j) in found
+            assert (h.cut.source_a, h.cut.source_b) in found
 
 
 def test_broad_search_validates_inputs():
@@ -335,9 +335,8 @@ def _recursion_as_sets(c: FormalChain, max_level: int) -> list:
     for lv in higher_level_cut_graph(c, max_level):
         edges = []
         for h in lv.hyperedges:
-            assert h.cut.source_a == h.source_i and h.cut.source_b == h.source_j
             edges.append(
-                (h.comp_i, h.comp_j, set(h.cut.side_a), set(h.cut.side_b), set(h.source_i), set(h.source_j))
+                (h.comp_i, h.comp_j, set(h.cut.side_a), set(h.cut.side_b), set(h.cut.source_a), set(h.cut.source_b))
             )
         levels.append((lv.level, edges, [set(comp) for comp in lv.components]))
     return levels
@@ -408,7 +407,7 @@ def test_one_closure_freeness_agrees_with_is_jaf():
         # Sources read from the pair's two components equal those of the whole sides.
         for h in edges.values():
             whole = _sources(c.graph, h.cut.side_a.mask, h.cut.side_b.mask)
-            assert (h.source_i.mask, h.source_j.mask) == whole
+            assert (h.cut.source_a.mask, h.cut.source_b.mask) == whole
         edge = edges.get((0, 1))
         free = is_jaf(c, k1, k2)
         assert (edge is not None) == free

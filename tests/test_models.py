@@ -214,7 +214,7 @@ def test_batch_v2_fixture_matches_analysis():
     assert tuple(_labels(c, m) for m in cg.components) == fx.c1_components
     levels = higher_level_cut_graph(c, 3)
     for lv, want in zip(levels, (fx.level2_sources, fx.level3_sources)):
-        got = [(_labels(c, h.source_i), _labels(c, h.source_j)) for h in lv.hyperedges]
+        got = [(_labels(c, h.cut.source_a), _labels(c, h.cut.source_b)) for h in lv.hyperedges]
         assert got == list(want)
 
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,7 @@ from prodform import (
 )
 from prodform.cli import document_to_chain, parse_document
 from prodform.graph_core import NodeSet
+from prodform.models import Family, ModelSpec, generate
 
 from util import (
     birth_death,
@@ -61,7 +63,7 @@ BALANCE_TOL = 1e-10
 def test_rate_assignment_validates_edge_cover_and_positivity():
     c = FormalChain(birth_death(3))
     good = {e: 1.0 for e in c.graph.edge_list}
-    assert rate_assignment(c, good).kind is ChainKind.CTMC
+    assert rate_assignment(c, good).values == good
     with pytest.raises(InvalidArgumentError):
         rate_assignment(c, {**good, (0, 2): 1.0})
     missing = dict(good)
@@ -107,7 +109,7 @@ def test_stationary_two_node_chain_closed_form():
     pi = stationary(c, rate_assignment(c, {(0, 1): 1.0, (1, 0): 2.0}))
     assert pi[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert pi[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert pi.normalized
+    assert sum(pi.pi) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_stationary_symmetric_cycle_is_uniform():
@@ -150,6 +152,74 @@ def test_stationary_dtmc_and_ctmc_agree_on_the_same_values():
     pi_c = stationary(c_c, rates_c)
     for a, b in zip(pi_d.pi, pi_c.pi):
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def _chain_id(spec: tuple[Family, dict[str, int]]) -> str:
+    family, params = spec
+    return family.value + "".join(f"-{v}" for v in params.values())
+
+
+WIDE_RANGE_CHAINS = [
+    (Family.BIRTH_DEATH, {"n": 60}),
+    (Family.BIRTH_DEATH, {"n": 200}),
+    (Family.BIRTH_DEATH, {"n": 400}),
+    (Family.BATCH_V1, {"truncation": 200}),
+    (Family.BATCH_V2, {"truncation": 80}),
+]
+
+
+@pytest.mark.parametrize("family,params", WIDE_RANGE_CHAINS, ids=map(_chain_id, WIDE_RANGE_CHAINS))
+def test_stationary_balances_long_chains_whose_measure_spans_many_decades(family, params):
+    # Products of rates in [0.1, 10] along a long chain spread pi over hundreds
+    # of decades; a solve that subtracts loses the small entries.
+    c = generate(ModelSpec(family, params))
+    for seed in range(20):
+        rates = random_rates(c, seed)
+        pi = stationary(c, rates)
+        assert sum(pi.pi) == pytest.approx(1.0, abs=1e-12)
+        for v in range(c.n):
+            out = pi[v] * sum(rates.values[(v, w)] for w in c.graph.out_adj[v])
+            inn = sum(pi[u] * rates.values[(u, v)] for u in c.graph.in_adj[v])
+            assert abs(out - inn) / (out + inn) <= BALANCE_TOL
+
+
+EXACT_CHAINS = [
+    (Family.BIRTH_DEATH, {"n": 30}),
+    (Family.ONE_WAY_CYCLE, {"n": 30}),
+    (Family.BATCH_V1, {"truncation": 20}),
+    (Family.MSJ_SATURATED, {}),
+]
+
+
+@pytest.mark.parametrize("family,params", EXACT_CHAINS, ids=map(_chain_id, EXACT_CHAINS))
+def test_stationary_and_relations_are_exact_on_rational_rates(family, params):
+    c = generate(ModelSpec(family, params))
+    rng = random.Random(5)
+    rates = rate_assignment(
+        c, {e: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for e in c.graph.edge_list}
+    )
+    pi = stationary(c, rates)
+    assert all(isinstance(x, Fraction) for x in pi.pi) and sum(pi.pi) == 1
+    for v in range(c.n):
+        out = pi[v] * sum(rates.values[(v, w)] for w in c.graph.out_adj[v])
+        inn = sum(pi[u] * rates.values[(u, v)] for u in c.graph.in_adj[v])
+        assert out == inn
+    relations = analyze(c, 2).relations
+    assert relations
+    for r in relations:
+        assert verify_relation(pi, rates, r) == 0
+
+
+def test_stationary_keeps_tiny_entries_and_reports_underflow():
+    # pi[a] = q(1,2) * q(2,0) * pi[b] to first order: 1e-300 keeps its digits,
+    # 1e-400 underflows and must raise, not divide by zero.
+    c = FormalChain(DirectedGraph(["a", "b", "c"], [(0, 1), (1, 2), (2, 0), (2, 1)]))
+    tiny = rate_assignment(c, {(0, 1): 1.0, (1, 2): 1e-150, (2, 0): 1e-150, (2, 1): 1.0})
+    pi = stationary(c, tiny)
+    assert pi[0] / pi[1] == pytest.approx(1e-300, rel=1e-12)
+    lost = rate_assignment(c, {(0, 1): 1.0, (1, 2): 1e-200, (2, 0): 1e-200, (2, 1): 1.0})
+    with pytest.raises(NumericError):
+        stationary(c, lost)
 
 
 def test_stationary_respects_the_node_budget():
