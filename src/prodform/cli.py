@@ -169,7 +169,8 @@ def _json_text(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` byte for byte, one ``str.join`` per container.
 
     ``indent`` is the newline and indent before the closing bracket. Numbers use
-    ``int.__repr__``/``float.__repr__``, so numpy scalars print as plain numbers.
+    ``int.__repr__``/``float.__repr__``, so a subclass of ``int`` or ``float``
+    prints as a plain number.
     A non-string key or a value of any other type raises ``TypeError``.
     """
     if isinstance(value, dict):
@@ -528,6 +529,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "summary": summary,
         }
         _write_json(report, args.out)
+        if args.mode == "cuts":
+            return EXIT_FAILURE if counter1 else EXIT_OK
         return _broad_exit_code(pairs_skipped)
     _, c, _ = _load(args.input)
     if args.mode == "cuts":

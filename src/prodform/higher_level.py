@@ -83,10 +83,9 @@ def _scan_pairs(c: FormalChain, comps: Sequence[int], settled: set[int]) -> tupl
             free ^= lane
             q = lane.bit_length() - 1
             side_a = sum(1 << v for v, s in enumerate(state) if s & lane)
-            side_b = full ^ side_a
-            source_a = NodeSet(_leaving(g, comps[p], side_b), n)
+            source_a = NodeSet(_leaving(g, comps[p], full ^ side_a), n)
             source_b = NodeSet(_leaving(g, comps[q], side_a), n)
-            cut = Cut(NodeSet(side_a, n), NodeSet(side_b, n), source_a, source_b)
+            cut = Cut(NodeSet(side_a, n), source_a, source_b)
             edges.append(HyperEdge(p, q, cut))
     return tuple(edges)
 
@@ -154,17 +153,20 @@ def _side_factor(
     hops: _HopFactors,
     star: int,
     sources: NodeSet,
-    far_side: NodeSet,
+    side_a: int,
+    into_a: bool,
 ) -> FactorExpr:
     """One side's weighted flow sum, rewritten in ``star``'s weight.
 
-    Each source's weight is carried to ``star`` along a shortest first-level
-    path, stepping to the smallest neighbor one level closer to ``star``.
+    The sources' edges cross into side A (mask ``side_a``) when ``into_a``,
+    else out of it. Each source's weight is carried to ``star`` along a
+    shortest first-level path, stepping to the smallest neighbor one level
+    closer to ``star``.
     """
     dist = _bfs_levels(adj, star)
     terms: list[FactorExpr] = []
     for node in sorted(sources):
-        crossing = _crossing_sum(c, node, far_side)
+        crossing = _crossing_sum(c, node, side_a, into_a)
         if node == star:
             terms.append(crossing)
             continue
@@ -185,8 +187,9 @@ def _sps_relation(
     adj: list[list[int]] = [[] for _ in range(c.graph.n)]
     for a, b in hops:
         adj[a].append(b)
-    lhs = _side_factor(c, adj, hops, i_star, h.cut.source_a, h.cut.side_b)
-    rhs = _side_factor(c, adj, hops, j_star, h.cut.source_b, h.cut.side_a)
+    side_a = h.cut.side_a.mask
+    lhs = _side_factor(c, adj, hops, i_star, h.cut.source_a, side_a, False)
+    rhs = _side_factor(c, adj, hops, j_star, h.cut.source_b, side_a, True)
     return make_relation(i_star, j_star, lhs, rhs)
 
 

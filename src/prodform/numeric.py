@@ -8,11 +8,11 @@ node pair.
 """
 from __future__ import annotations
 
+import heapq
 import math
+import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 from .factors import Relation, evaluate
@@ -23,7 +23,6 @@ _SOLVER_NODE_BUDGET = 2000
 _ORACLE_NODE_BUDGET = 20
 _BALANCE_TOLERANCE = 1e-10
 _ROW_SUM_TOLERANCE = 1e-12
-_CUT_BLOCK_ELEMENTS = 1 << 16
 
 # ---- rate assignments ----
 
@@ -67,9 +66,8 @@ def rate_assignment(
 def random_rates(c: FormalChain, seed: int) -> RateAssignment:
     """Deterministic per-seed assignment, log-uniform in [0.1, 10]; DTMC rows normalized."""
     g = c.graph
-    rng = np.random.default_rng(seed)
-    raw = 10.0 ** rng.uniform(-1.0, 1.0, g.edge_count)
-    values = {e: float(x) for e, x in zip(g.edge_list, raw)}
+    rng = random.Random(seed)
+    values = {e: 10.0 ** rng.uniform(-1.0, 1.0) for e in g.edge_list}
     if c.kind is ChainKind.DTMC:
         for u in range(g.n):
             total = sum(values[(u, v)] for v in g.out_adj[u])
@@ -162,58 +160,46 @@ def cut_residuals(
 ) -> list[float]:
     """Relative residual of the crossing-flow balance over each cut's two sides.
 
-    The forward flow of a cut sums pi[u] * q(u, v) over its edges from
-    ``side_a`` to ``side_b``, the backward flow over its edges from ``side_b``
-    to ``side_a``, and the residual is |forward - backward| / (forward +
-    backward). Both sums run over the edges in the rate map's order and add
-    left to right (``cumsum``); a masked-out edge adds an exact +0.0, so every
-    residual is bit for bit the one a per-edge loop in that order gives. Cuts
-    are taken in blocks so that no temporary array holds more than
-    ``_CUT_BLOCK_ELEMENTS`` elements.
+    Only a cut's sources have edges into the other side, so the forward flow
+    sums pi[u] * q(u, v) over the edges from ``source_a`` into side B, the
+    backward flow over those from ``source_b`` into side A, and the residual
+    is |forward - backward| / (forward + backward); a missing source fails
+    the balance. Each sum adds left to right in the rate map's order, so every
+    residual is bit for bit the per-edge loop's, and exact on exact numbers.
     """
     n = len(pi)
+    # Per node, its out-edges as (rate-map position, head, flow).
+    out: list[list[tuple]] = [[] for _ in range(n)]
+    for position, ((u, v), q) in enumerate(rates.values.items()):
+        out[u].append((position, v, pi[u] * q))
+    residuals = []
     for k, cut in enumerate(cuts):
-        if cut.side_a.universe != n or cut.side_b.universe != n:
+        if cut.side_a.universe != n or cut.source_a.universe != n or cut.source_b.universe != n:
             raise InvalidArgumentError(f"cut {k} is not over the chain's {n} nodes")
-    if not cuts:
-        return []
-    edges = np.array(list(rates.values), dtype=np.intp).reshape(-1, 2)
-    src, dst = edges[:, 0], edges[:, 1]
-    flow = np.asarray(pi.pi)[src] * np.fromiter(rates.values.values(), float, len(edges))
-    rows = max(1, _CUT_BLOCK_ELEMENTS // max(n, len(edges), 1))
-    residuals: list[float] = []
-    for start in range(0, len(cuts), rows):
-        block = cuts[start : start + rows]
-        side_a = _side_rows([cut.side_a.mask for cut in block], n)
-        side_b = _side_rows([cut.side_b.mask for cut in block], n)
-        forward_edges = side_a[:, src] & side_b[:, dst]
-        backward_edges = side_b[:, src] & side_a[:, dst] & ~forward_edges
-        forward = _ordered_row_sums(forward_edges, flow)
-        backward = _ordered_row_sums(backward_edges, flow)
+        side_a, source_a, source_b = cut.side_a.mask, cut.source_a.mask, cut.source_b.mask
+        if not source_a or not source_b or source_a & ~side_a or source_b & side_a:
+            raise InvalidArgumentError(f"cut {k} has an empty source set or a source off its side")
+        forward = _crossing_flow(out, source_a, side_a, False)
+        backward = _crossing_flow(out, source_b, side_a, True)
         total = forward + backward
-        defined = np.isfinite(total) & (total > 0.0)
-        if not defined.all():
-            k = int(np.argmin(defined))
-            raise NumericError(
-                f"cut {start + k} has crossing flow {float(total[k])!r}; its balance is undefined"
-            )
-        residuals.extend((np.abs(forward - backward) / total).tolist())
+        if not 0 < total < math.inf:
+            raise NumericError(f"cut {k} has crossing flow {total!r}; its balance is undefined")
+        residuals.append(abs(forward - backward) / total)
     return residuals
 
 
-def _side_rows(masks: list[int], n: int) -> np.ndarray:
-    """One boolean row of length ``n`` per node mask (bit v is column v)."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
-    return bits.view(bool)
-
-
-def _ordered_row_sums(mask: np.ndarray, flow: np.ndarray) -> np.ndarray:
-    """Per row, the sum of ``flow`` where ``mask`` holds, added strictly left to right."""
-    if not flow.size:
-        return np.zeros(len(mask))
-    return np.cumsum(np.where(mask, flow, 0.0), axis=1)[:, -1]
+def _crossing_flow(out: list[list[tuple]], sources: int, side_a: int, into_a: bool) -> float:
+    """The sources' flow into side A (``into_a``) or out of it, added in rate-map order."""
+    if sources & sources - 1:
+        edges = heapq.merge(*(out[u] for u in NodeSet(sources, len(out))))
+    else:
+        edges = out[sources.bit_length() - 1]
+    flow = 0
+    # A loop, not sum(): from Python 3.12 sum() compensates float rounding.
+    for _, v, f in edges:
+        if (side_a >> v & 1) == into_a:
+            flow += f
+    return flow
 
 
 def cut_equation_check(pi: StationaryMeasure, rates: RateAssignment, cut: Cut) -> float:
@@ -250,10 +236,10 @@ def enumerate_sourced_cuts(c: FormalChain) -> dict[tuple[int, int], Cut]:
         i = src_a.bit_length() - 1
         j = src_b.bit_length() - 1
         if i < j:
-            cut = Cut(NodeSet(mask, n), NodeSet(comp, n), NodeSet(src_a, n), NodeSet(src_b, n))
+            cut = Cut(NodeSet(mask, n), NodeSet(src_a, n), NodeSet(src_b, n))
             key = (i, j)
         else:
-            cut = Cut(NodeSet(comp, n), NodeSet(mask, n), NodeSet(src_b, n), NodeSet(src_a, n))
+            cut = Cut(NodeSet(comp, n), NodeSet(src_b, n), NodeSet(src_a, n))
             key = (j, i)
         if key in found and found[key] != cut:
             raise AssertionError(

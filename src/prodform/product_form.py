@@ -61,12 +61,15 @@ class FormalChain:
 
 @dataclass(frozen=True)
 class Cut:
-    """A bipartition of the node set with its crossing sources on each side."""
+    """A bipartition (``side_a`` and its complement) with its crossing sources on each side."""
 
     side_a: NodeSet
-    side_b: NodeSet
     source_a: NodeSet
     source_b: NodeSet
+
+    @property
+    def side_b(self) -> NodeSet:
+        return self.side_a.complement()
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,9 @@ def _sources(g: DirectedGraph, a_mask: int, b_mask: int) -> tuple[int, int]:
     return _leaving(g, a_mask, b_mask), _leaving(g, b_mask, a_mask)
 
 
-def _crossing_sum(c: FormalChain, node: int, far_side: NodeSet) -> SumExpr:
-    atoms = [RateAtom(node, t) for t in c.graph.out_adj[node] if t in far_side]
+def _crossing_sum(c: FormalChain, node: int, side_a: int, into_a: bool) -> SumExpr:
+    """The rates of ``node``'s edges into side A (``into_a``) or out of it, given A's mask."""
+    atoms = [RateAtom(node, t) for t in c.graph.out_adj[node] if (side_a >> t & 1) == into_a]
     assert atoms, "a cut source must have at least one crossing edge"
     return SumExpr(tuple(atoms))
 
@@ -152,7 +156,7 @@ def sourced_cut(c: FormalChain, i: int, j: int) -> Cut | None:
         f"cut from nodes ({g.labels[i]}, {g.labels[j]}) has sources "
         f"{bin(src_a)}/{bin(src_b)}; expected exactly the defining pair"
     )
-    return Cut(NodeSet(a, g.n), NodeSet(b, g.n), NodeSet(1 << i, g.n), NodeSet(1 << j, g.n))
+    return Cut(NodeSet(a, g.n), NodeSet(1 << i, g.n), NodeSet(1 << j, g.n))
 
 
 def s_factors(
@@ -168,7 +172,8 @@ def s_factors(
         cut = sourced_cut(c, i, j)
         if cut is None:
             return None
-    return _crossing_sum(c, i, cut.side_b), _crossing_sum(c, j, cut.side_a)
+    side_a = cut.side_a.mask
+    return _crossing_sum(c, i, side_a, False), _crossing_sum(c, j, side_a, True)
 
 
 def s_relation(c: FormalChain, i: int, j: int, cut: Cut | None = None) -> Relation | None:
@@ -393,7 +398,6 @@ def clique_territory_cut(c: FormalChain, analysis: CliqueAnalysis, i: int, j: in
     side_a_mask = 0
     for m in walk[: walk.index(i) + 1]:
         side_a_mask |= territory[m].mask
-    side_a = NodeSet(side_a_mask, c.graph.n)
-    side_b = side_a.complement()
-    src_a, src_b = _sources(c.graph, side_a.mask, side_b.mask)
-    return Cut(side_a, side_b, NodeSet(src_a, c.graph.n), NodeSet(src_b, c.graph.n))
+    n = c.graph.n
+    src_a, src_b = _sources(c.graph, side_a_mask, (1 << n) - 1 ^ side_a_mask)
+    return Cut(NodeSet(side_a_mask, n), NodeSet(src_a, n), NodeSet(src_b, n))

@@ -90,8 +90,7 @@ def _assert_scan_matches_oracle(c: FormalChain) -> None:
 
 def _bipartition_cut(c: FormalChain, mask: int) -> Cut:
     side_a = NodeSet(mask, c.n)
-    side_b = side_a.complement()
-    return Cut(side_a, side_b, *cut_source(c, side_a))
+    return Cut(side_a, *cut_source(c, side_a))
 
 
 # ---- criteria ----
@@ -124,7 +123,7 @@ def test_criterion_02_ladder_pairs_and_cut_equations():
         cuts = []
         for side_a, _ in fx.cut_sides:
             a = _by_labels(c, side_a)
-            cuts.append(Cut(a, a.complement(), *cut_source(c, a)))
+            cuts.append(Cut(a, *cut_source(c, a)))
         assert len(cuts) == 6
         for seed in range(20):
             rates = random_rates(c, seed)

@@ -2,11 +2,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from prodform import Family, Relation, analyze, cli, random_rates, stationary, verify_relation
+from prodform import (
+    CutGraph,
+    Family,
+    Relation,
+    analyze,
+    cli,
+    random_rates,
+    stationary,
+    verify_relation,
+)
 
 from util import reference_cut_residual
 
@@ -412,6 +425,21 @@ def test_oracle_cuts_agree_with_the_scan(tmp_path):
     ]
 
 
+def test_oracle_cuts_fail_when_the_scan_disagrees(tmp_path, monkeypatch):
+    path = _generate(tmp_path, "ladder")
+    out = str(tmp_path / "oracle.json")
+    monkeypatch.setattr(cli, "cut_graph", lambda c: CutGraph(frozenset(), ()))
+    assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
+    report = _read_json(out)
+    assert report["match"] is False
+    assert len(report["diff"]["missing"]) == 5
+    args = ["oracle", "random", "--nodes", "5", "--samples", "3", "--mode", "cuts", "--out", out]
+    assert cli.main(args) == cli.EXIT_FAILURE
+    report = _read_json(out)
+    assert report["summary"] == "3 mismatches"
+    assert len(report["findings"]["conjecture1"]) == 3
+
+
 def test_oracle_broad_lists_pinned_member(tmp_path):
     path = _generate(tmp_path, "batchv2", "--truncate", "6")
     out = str(tmp_path / "broad.json")
@@ -516,3 +544,40 @@ def test_export_is_deterministic(tmp_path):
     assert cli.main(["export", path, "--annotate", "1", "--dot", first]) == cli.EXIT_OK
     assert cli.main(["export", path, "--annotate", "1", "--dot", second]) == cli.EXIT_OK
     assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+# ---- dependencies ----
+
+# Runs in a child interpreter, so blocking numpy cannot leak into other tests.
+_NO_NUMPY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    sys.modules["numpy"] = None  # any "import numpy" now raises ImportError
+    from prodform import cli
+
+    doc, out = sys.argv[1], sys.argv[2]
+    runs = [
+        ["generate", "ladder", "--out", doc],
+        ["analyze", doc, "--out", out],
+        ["verify", doc, "--seeds", "2", "--out", out],
+        ["oracle", doc, "--mode", "cuts", "--out", out],
+        ["export", doc, "--dot", out],
+    ]
+    print([cli.main(argv) for argv in runs])
+    """
+)
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(tmp_path / "doc.json"), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0, 0, 0, 0]"

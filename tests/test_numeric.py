@@ -204,10 +204,12 @@ def test_stationary_and_relations_are_exact_on_rational_rates(family, params):
         out = pi[v] * sum(rates.values[(v, w)] for w in c.graph.out_adj[v])
         inn = sum(pi[u] * rates.values[(u, v)] for u in c.graph.in_adj[v])
         assert out == inn
-    relations = analyze(c, 2).relations
-    assert relations
-    for r in relations:
+    found = analyze(c, 3)
+    assert found.relations
+    for r in found.relations:
         assert verify_relation(pi, rates, r) == 0
+    cuts = found.cuts + [h.cut for lv in found.levels[1:] for h in lv.hyperedges]
+    assert all(type(x) is Fraction and x == 0 for x in cut_residuals(pi, rates, cuts))
 
 
 def test_stationary_keeps_tiny_entries_and_reports_underflow():
@@ -261,7 +263,7 @@ def test_verify_relation_rejects_foreign_atoms():
 
 def _cut_from_side(c: FormalChain, side: NodeSet) -> Cut:
     src_a, src_b = cut_source(c, side)
-    return Cut(side, side.complement(), src_a, src_b)
+    return Cut(side, src_a, src_b)
 
 
 def test_every_bipartition_balances_on_example_chains():
@@ -381,36 +383,43 @@ def test_cut_residuals_span_several_blocks_on_a_long_cycle():
         _assert_residuals_exact(c, random_rates(c, seed), cuts)
 
 
-def test_cut_residuals_keep_the_loop_on_sides_that_do_not_cover_the_chain():
-    c = FormalChain(ladder7())
-    rates = random_rates(c, 5)
-    pi = stationary(c, rates)
-    rng = random.Random(17)
-    undefined = 0
-    for _ in range(200):
-        labels = [rng.randrange(3) for _ in range(c.n)]
-        side_a = nodeset(c.graph, [v for v in range(c.n) if labels[v] == 1])
-        side_b = nodeset(c.graph, [v for v in range(c.n) if labels[v] == 2])
-        cut = Cut(side_a, side_b, NodeSet.empty(c.n), NodeSet.empty(c.n))
-        try:
-            want = reference_cut_residual(pi, rates, cut)
-        except ZeroDivisionError:
-            undefined += 1
-            with pytest.raises(NumericError, match="balance is undefined"):
-                cut_residuals(pi, rates, [cut])
-            continue
-        assert cut_residuals(pi, rates, [cut]) == [want]
-    assert undefined > 0
-
-
 def test_cut_residuals_validate_the_universe():
     c = FormalChain(birth_death(4))
     rates = random_rates(c, 0)
     pi = stationary(c, rates)
     side = NodeSet.of([0], 5)
     with pytest.raises(InvalidArgumentError, match="not over the chain's 4 nodes"):
-        cut_residuals(pi, rates, [Cut(side, side.complement(), side, side)])
+        cut_residuals(pi, rates, [Cut(side, side, side.complement())])
+    head, next_ = NodeSet.of([0], 4), NodeSet.of([1], 4)
+    for bad in (
+        Cut(head, NodeSet.empty(4), next_),
+        Cut(head, head, NodeSet.empty(4)),
+        Cut(head, next_, next_),
+        Cut(head, head, head),
+    ):
+        with pytest.raises(InvalidArgumentError, match="source"):
+            cut_residuals(pi, rates, [bad])
+    cut = Cut(head, head, next_)
+    assert cut_residuals(pi, rates, [cut]) == [reference_cut_residual(pi, rates, cut)]
     assert cut_residuals(pi, rates, []) == []
+    # The smallest subnormal rates solve to a uniform pi, but every flow underflows to 0.
+    lost = rate_assignment(c, {e: 5e-324 for e in c.graph.edge_list})
+    with pytest.raises(NumericError, match="balance is undefined"):
+        cut_residuals(stationary(c, lost), lost, [cut])
+
+
+def test_cut_residuals_need_every_source_of_a_cut():
+    c = generate(ModelSpec(Family.BATCH_V2))
+    (h,) = analyze(c, 2).levels[0].hyperedges
+    labels = c.graph.labels
+    assert sorted(labels[v] for v in h.cut.source_a) == ["bar1", "bar2"]
+    assert [labels[v] for v in h.cut.source_b] == ["2"]
+    partial = [Cut(h.cut.side_a, NodeSet.of([v], c.n), h.cut.source_b) for v in h.cut.source_a]
+    for seed in range(20):
+        rates = random_rates(c, seed)
+        pi = stationary(c, rates)
+        assert cut_residuals(pi, rates, [h.cut]) == [reference_cut_residual(pi, rates, h.cut)]
+        assert min(cut_residuals(pi, rates, partial)) > 1e-3
 
 
 def test_cut_residuals_bound_their_temporaries():
@@ -425,7 +434,7 @@ def test_cut_residuals_bound_their_temporaries():
         arc = ((1 << length) - 1) << start
         side = NodeSet((arc | arc >> n) & full, n)
         last, before = (start + length - 1) % n, (start - 1) % n
-        cuts.append(Cut(side, side.complement(), NodeSet.of([last], n), NodeSet.of([before], n)))
+        cuts.append(Cut(side, NodeSet.of([last], n), NodeSet.of([before], n)))
     tracemalloc.start()
     try:
         residuals = cut_residuals(pi, rates, cuts)
