@@ -12,20 +12,15 @@ from .factors import (
     CircuitStats,
     FactorExpr,
     Level,
-    LEVEL_PS,
-    LEVEL_PSPS,
     LEVEL_S,
-    LEVEL_SPS,
     ProductExpr,
     RateAtom,
     Relation,
     SumExpr,
-    atom_edges,
     chain_relations,
     circuit_stats,
     classify,
     evaluate,
-    factor_from_json,
     factor_to_json,
     format_factor,
     make_relation,
@@ -36,10 +31,8 @@ from .factors import (
 from .graph_core import (
     DirectedGraph,
     NodeSet,
-    ancestors,
     ancestors_avoiding,
     connectivity_witness,
-    shortest_path,
 )
 from .higher_level import (
     Analysis,
@@ -50,7 +43,6 @@ from .higher_level import (
     broad_cut_search,
     broad_pair_scan,
     higher_level_cut_graph,
-    hypergraph_to_json,
     sps_relation,
 )
 from .models import (

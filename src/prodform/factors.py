@@ -81,15 +81,6 @@ def product_of(pairs: Iterable[tuple[FactorExpr, int]]) -> ProductExpr:
     return ProductExpr(tuple(flat))
 
 
-def atom_edges(e: FactorExpr) -> frozenset[tuple[int, int]]:
-    """The set of edges whose rates appear anywhere in the expression."""
-    if isinstance(e, RateAtom):
-        return frozenset([(e.src, e.dst)])
-    if isinstance(e, SumExpr):
-        return frozenset().union(*(atom_edges(t) for t in e.terms))
-    return frozenset().union(*(atom_edges(f) for f, _ in e.factors))
-
-
 # ---- classification ----
 
 
@@ -112,9 +103,6 @@ class Level:
 
 
 LEVEL_S = Level(1)
-LEVEL_PS = Level(2)
-LEVEL_SPS = Level(3)
-LEVEL_PSPS = Level(4)
 
 
 def _alternation(e: FactorExpr) -> int:
@@ -292,24 +280,6 @@ def factor_to_json(e: FactorExpr, labels: Sequence[str]) -> dict:
             {"expr": factor_to_json(f, labels), "exp": exp} for f, exp in e.factors
         ]
     }
-
-
-def factor_from_json(obj: dict, index_of: Mapping[str, int]) -> FactorExpr:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise InvalidArgumentError(f"malformed factor object: {obj!r}")
-    if "atom" in obj:
-        spec = obj["atom"]
-        try:
-            return RateAtom(index_of[spec["from"]], index_of[spec["to"]])
-        except (KeyError, TypeError):
-            raise InvalidArgumentError(f"malformed atom: {spec!r}") from None
-    if "sum" in obj:
-        return sum_of(factor_from_json(t, index_of) for t in obj["sum"])
-    if "product" in obj:
-        return product_of(
-            (factor_from_json(p["expr"], index_of), p["exp"]) for p in obj["product"]
-        )
-    raise InvalidArgumentError(f"unknown factor kind: {sorted(obj)!r}")
 
 
 def format_factor(e: FactorExpr, labels: Sequence[str]) -> str:

@@ -37,14 +37,6 @@ class NodeSet:
             mask |= 1 << i
         return cls(mask, universe)
 
-    @classmethod
-    def empty(cls, universe: int) -> NodeSet:
-        return cls(0, universe)
-
-    @classmethod
-    def full(cls, universe: int) -> NodeSet:
-        return cls((1 << universe) - 1, universe)
-
     # ---- queries ----
 
     def __contains__(self, index: int) -> bool:
@@ -78,9 +70,6 @@ class NodeSet:
 
     def isdisjoint(self, other: NodeSet) -> bool:
         return not self.mask & other.mask
-
-    def issubset(self, other: NodeSet) -> bool:
-        return not self.mask & ~other.mask
 
     # ---- algebra ----
 
@@ -165,21 +154,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edge_list)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.out_mask[u] >> v & 1)
-
-    def full_set(self) -> NodeSet:
-        return NodeSet.full(self.n)
-
-    def set_of_labels(self, labels: Iterable[str]) -> NodeSet:
-        try:
-            return NodeSet.of((self.index_of[x] for x in labels), self.n)
-        except KeyError as exc:
-            raise InvalidArgumentError(f"unknown node label {exc.args[0]!r}") from None
-
-    def label_set(self, nodes: NodeSet) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in nodes)
-
     def __repr__(self) -> str:
         return f"DirectedGraph({self.n} nodes, {self.edge_count} edges)"
 
@@ -206,18 +180,6 @@ def _closure(adj_masks: Sequence[int], seed_mask: int, allowed_mask: int) -> int
         frontier = step & allowed_mask & ~seen
         seen |= frontier
     return seen
-
-
-def ancestors(g: DirectedGraph, seed: NodeSet) -> NodeSet:
-    """All nodes with a directed path into ``seed`` (including ``seed`` itself).
-
-    The empty seed is rejected: an empty ancestor query is always a caller bug.
-    """
-    if seed.universe != g.n:
-        raise InvalidArgumentError("seed set belongs to a different graph")
-    if not seed:
-        raise InvalidArgumentError("ancestor query requires a nonempty seed")
-    return NodeSet(_closure(g.in_mask, seed.mask, (1 << g.n) - 1), g.n)
 
 
 def ancestors_avoiding(g: DirectedGraph, seed: NodeSet, avoid: NodeSet) -> NodeSet:
@@ -250,28 +212,6 @@ def connectivity_witness(g: DirectedGraph) -> tuple[int, int] | None:
         missing = (~rev & full).bit_length() - 1
         return missing, 0
     return None
-
-
-def shortest_path(
-    g: DirectedGraph, src: int, dst: int, avoid: NodeSet | None = None
-) -> list[int] | None:
-    """A shortest directed path from ``src`` to ``dst`` inside ``V - avoid``.
-
-    Ties are broken by always stepping to the smallest-index eligible next
-    node, so the result is the lexicographically first shortest path. Returns
-    None when ``dst`` is unreachable.
-    """
-    avoid_mask = avoid.mask if avoid is not None else 0
-    if avoid is not None and avoid.universe != g.n:
-        raise InvalidArgumentError("avoided set belongs to a different graph")
-    if not (0 <= src < g.n and 0 <= dst < g.n):
-        raise InvalidArgumentError("path endpoints out of range")
-    if avoid_mask >> src & 1 or avoid_mask >> dst & 1:
-        raise InvalidArgumentError("path endpoints must not be avoided")
-    dist = _bfs_levels(g.in_adj, dst, ~avoid_mask)
-    if dist[src] < 0:
-        return None
-    return _descend(g.out_adj, dist, src)
 
 
 # ---- traversal primitives ----

@@ -364,23 +364,3 @@ def broad_pair_scan(
             found.append(BroadPair(k1, k2, members, is_jaf(c, k1, k2), stranded))
     return found, skipped
 
-
-# ---- serialization ----
-
-
-def hypergraph_to_json(h: CutHypergraph, labels: Sequence[str]) -> dict:
-    def names(s: NodeSet) -> list[str]:
-        return sorted(labels[v] for v in s)
-
-    return {
-        "level": h.level,
-        "hyperedges": [
-            {
-                "source_i": names(e.cut.source_a),
-                "source_j": names(e.cut.source_b),
-                "cut_a": names(e.cut.side_a),
-                "cut_b": names(e.cut.side_b),
-            }
-            for e in h.hyperedges
-        ],
-    }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 from .factors import Relation, evaluate
-from .graph_core import NodeSet, _bfs_levels, _descend, shortest_path
+from .graph_core import NodeSet, _bfs_levels, _descend
 from .product_form import ChainKind, Cut, FormalChain, _sources, mutually_avoiding_ancestors
 
 _SOLVER_NODE_BUDGET = 2000
@@ -311,7 +311,7 @@ def theorem3_witness(c: FormalChain, i: int, j: int) -> WitnessPair | None:
     dist = _bfs_levels(g.in_adj, i, ~(1 << j))
     _, k = min((dist[v], v) for v in joint)
     path_a = _descend(g.out_adj, dist, k)
-    path_b = shortest_path(g, k, j, avoid=NodeSet.of([i], g.n))
+    path_b = _descend(g.out_adj, _bfs_levels(g.in_adj, j, ~(1 << i)), k)
     shared = set(path_a) & set(path_b)
     assert shared == {k}, (
         "a closer joint ancestor would exist if the shortest paths met again"

@@ -138,7 +138,7 @@ def test_criterion_03_example_suite():
         oneway = generate(ModelSpec(Family.ONE_WAY_CYCLE, {"n": 5}))
         all_pairs = {frozenset(p) for p in itertools.combinations("12345", 2)}
         assert _c1_label_pairs(oneway) == all_pairs
-        assert clique_check(oneway, oneway.graph.full_set()) is not None
+        assert clique_check(oneway, NodeSet.of(range(oneway.graph.n), oneway.graph.n)) is not None
 
         # Adding one chord removes exactly the pairs that gain a joint ancestor.
         plus_spec = ModelSpec(Family.ONE_WAY_CYCLE_PLUS_EDGE, {"n": 5, "k": 3})

@@ -244,6 +244,29 @@ def test_verify_fault_injection_is_detected(tmp_path):
     assert report["max_residual"] > 1e-3
 
 
+def test_verify_fault_passes_when_the_swapped_factors_are_equal(tmp_path):
+    # With every rate 1.0 the faulted relation pi0*q(1,0) = pi1*q(0,1) still holds.
+    doc = tmp_path / "uniform.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "nodes": ["0", "1", "2"],
+                "edges": [
+                    {"from": a, "to": b, "rate": 1.0}
+                    for a, b in (("0", "1"), ("1", "0"), ("1", "2"), ("2", "1"))
+                ],
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = str(tmp_path / "fault.json")
+    assert cli.main(["verify", str(doc), "--seeds", "0", "--fault", "--out", out]) == cli.EXIT_OK
+    report = _read_json(out)
+    assert report["fault"] == "0~1"
+    assert report["max_residual"] == 0.0
+    assert report["pass"] is True
+
+
 def test_verify_uses_document_rates_when_present(tmp_path):
     doc = tmp_path / "cycle.json"
     doc.write_text(

@@ -9,11 +9,10 @@ from prodform.errors import InvalidArgumentError
 from prodform.graph_core import (
     DirectedGraph,
     NodeSet,
-    ancestors,
     ancestors_avoiding,
     connectivity_witness,
-    shortest_path,
 )
+from prodform.graph_core import _bfs_levels, _descend
 from util import (
     birth_death,
     ladder7,
@@ -40,9 +39,8 @@ def test_nodeset_basic_algebra():
     assert (a - b) == NodeSet.of([0, 5], 8)
     assert a.complement() == NodeSet.of([1, 3, 4, 6, 7], 8)
     assert not a.isdisjoint(b)
-    assert NodeSet.of([2], 8).issubset(a)
-    assert NodeSet.empty(8).issubset(a) and not NodeSet.empty(8)
-    assert NodeSet.full(3) == NodeSet.of([0, 1, 2], 3)
+    assert not NodeSet(0, 8) and NodeSet(0, 8).isdisjoint(a)
+    assert NodeSet.of(range(3), 3).mask == 0b111
 
 
 def test_nodeset_rejects_out_of_range():
@@ -70,7 +68,7 @@ def test_graph_rejects_duplicate_edges_and_labels():
 
 def test_graph_permits_self_loops():
     g = DirectedGraph(["a", "b"], [(0, 0), (0, 1), (1, 0)])
-    assert g.has_edge(0, 0)
+    assert 0 in g.out_adj[0]
     assert connectivity_witness(g) is None
 
 
@@ -86,35 +84,37 @@ def test_adjacency_is_sorted_and_mirrored():
 # ---- ancestors ----
 
 
+def _labels(g: DirectedGraph, nodes) -> set[str]:
+    return {g.labels[v] for v in nodes}
+
+
 def test_ancestors_birth_death_with_removed_node():
     g = birth_death(6)
     sub, _ = set_avoiding_subgraph(g, nodeset(g, [3]))
-    seed = sub.set_of_labels(["2"])
-    got = ancestors(sub, seed)
-    assert sub.label_set(got) == {"0", "1", "2"}
+    got = naive_ancestors(sub, {sub.index_of["2"]})
+    assert _labels(sub, got) == {"0", "1", "2"}
     # Same query through the mask-based route on the parent graph.
     direct = ancestors_avoiding(g, nodeset(g, [2]), nodeset(g, [3]))
-    assert g.label_set(direct) == {"0", "1", "2"}
+    assert _labels(g, direct) == {"0", "1", "2"}
 
 
 def test_ancestors_full_seed_is_identity():
     g = ladder7()
-    assert ancestors(g, g.full_set()) == g.full_set()
+    full = nodeset(g, range(g.n))
+    assert ancestors_avoiding(g, full, NodeSet(0, g.n)) == full
 
 
 def test_ancestors_ladder_isolated_by_removal():
     g = ladder7()
-    four = g.set_of_labels(["4"])
-    got = ancestors_avoiding(g, four, g.set_of_labels(["0"]))
-    assert g.label_set(got) == {"4"}
+    four = nodeset(g, [g.index_of["4"]])
+    got = ancestors_avoiding(g, four, nodeset(g, [g.index_of["0"]]))
+    assert _labels(g, got) == {"4"}
 
 
 def test_ancestors_rejects_empty_seed():
     g = birth_death(4)
     with pytest.raises(InvalidArgumentError):
-        ancestors(g, NodeSet.empty(g.n))
-    with pytest.raises(InvalidArgumentError):
-        ancestors_avoiding(g, NodeSet.empty(g.n), nodeset(g, [0]))
+        ancestors_avoiding(g, NodeSet(0, g.n), nodeset(g, [0]))
     with pytest.raises(InvalidArgumentError):
         ancestors_avoiding(g, nodeset(g, [0]), nodeset(g, [0]))
 
@@ -140,9 +140,10 @@ def test_ancestors_monotone_in_seed():
         nodes = list(range(g.n))
         small = rng.sample(nodes, rng.randint(1, g.n))
         extra = rng.sample(nodes, rng.randint(0, g.n - 1))
-        a = ancestors(g, nodeset(g, small))
-        b = ancestors(g, nodeset(g, set(small) | set(extra)))
-        assert a.issubset(b)
+        avoid = nodeset(g, [v for v in nodes if v not in small and v not in extra and rng.random() < 0.3])
+        a = ancestors_avoiding(g, nodeset(g, small), avoid)
+        b = ancestors_avoiding(g, nodeset(g, set(small) | set(extra)), avoid)
+        assert not a - b
 
 
 # ---- subgraphs ----
@@ -150,7 +151,7 @@ def test_ancestors_monotone_in_seed():
 
 def test_subgraph_keeps_exactly_surviving_edges():
     g = ladder7()
-    avoid = g.set_of_labels(["5"])
+    avoid = nodeset(g, [g.index_of["5"]])
     sub, parent_index = set_avoiding_subgraph(g, avoid)
     assert set(sub.labels) == set(g.labels) - {"5"}
     expected = {
@@ -166,7 +167,7 @@ def test_subgraph_keeps_exactly_surviving_edges():
 
 def test_subgraph_of_nothing_removed_is_identity():
     g = birth_death(4)
-    sub, parent_index = set_avoiding_subgraph(g, NodeSet.empty(g.n))
+    sub, parent_index = set_avoiding_subgraph(g, NodeSet(0, g.n))
     assert sub.labels == g.labels and sub.edge_list == g.edge_list
     assert parent_index == tuple(range(g.n))
 
@@ -174,7 +175,7 @@ def test_subgraph_of_nothing_removed_is_identity():
 def test_subgraph_rejects_removing_everything():
     g = birth_death(3)
     with pytest.raises(InvalidArgumentError):
-        set_avoiding_subgraph(g, g.full_set())
+        set_avoiding_subgraph(g, nodeset(g, range(g.n)))
 
 
 # ---- connectivity ----
@@ -188,36 +189,42 @@ def test_strong_connectivity_checks():
     witness = connectivity_witness(chain)
     assert witness is not None
     u, v = witness
-    assert u not in ancestors(chain, nodeset(chain, [v]))
+    assert u not in naive_ancestors(chain, {v})
     assert connectivity_witness(one_way_cycle(4)) is None
 
 
 # ---- shortest paths ----
 
 
+def _shortest_path(g: DirectedGraph, src: int, dst: int, avoid=()) -> list[int] | None:
+    """BFS levels toward ``dst`` over in-edges, then the descent from ``src``, as the witness builds paths."""
+    dist = _bfs_levels(g.in_adj, dst, ~sum(1 << v for v in avoid))
+    return None if dist[src] < 0 else _descend(g.out_adj, dist, src)
+
+
 def test_shortest_path_absent_when_detour_blocked():
     g = one_way_cycle_plus(5, 3)
     src, dst = g.index_of["1"], g.index_of["4"]
-    assert shortest_path(g, src, dst, g.set_of_labels(["3"])) is None
-    assert shortest_path(g, src, dst) == [g.index_of[x] for x in ("1", "3", "4")]
+    assert _shortest_path(g, src, dst, [g.index_of["3"]]) is None
+    assert _shortest_path(g, src, dst) == [g.index_of[x] for x in ("1", "3", "4")]
 
 
 def test_shortest_path_prefers_smallest_next_index():
     # Two shortest routes 0->3; the walk must pick node 1 over node 2 at the fork.
     g = DirectedGraph(["0", "1", "2", "3"], [(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
-    assert shortest_path(g, 0, 3) == [0, 1, 3]
+    assert _shortest_path(g, 0, 3) == [0, 1, 3]
     g2 = DirectedGraph(["0", "1", "2", "3"], [(0, 2), (0, 1), (1, 3), (2, 3), (3, 0)])
-    assert shortest_path(g2, 0, 3) == [0, 1, 3]
+    assert _shortest_path(g2, 0, 3) == [0, 1, 3]
 
 
-def test_shortest_path_trivial_and_invalid_cases():
+def test_shortest_path_trivial_cases():
     g = birth_death(4)
-    assert shortest_path(g, 2, 2) == [2]
-    assert shortest_path(g, 0, 3) == [0, 1, 2, 3]
-    with pytest.raises(InvalidArgumentError):
-        shortest_path(g, 0, 2, nodeset(g, [2]))
-    with pytest.raises(InvalidArgumentError):
-        shortest_path(g, 0, 9)
+    assert _shortest_path(g, 2, 2) == [2]
+    assert _shortest_path(g, 0, 3) == [0, 1, 2, 3]
+    assert _bfs_levels(g.out_adj, 0) == [0, 1, 2, 3]
+    # Only the start is entered outside ``allowed``.
+    assert _bfs_levels(g.out_adj, 0, ~0b1) == [0, 1, 2, 3]
+    assert _bfs_levels(g.out_adj, 0, ~0b10) == [0, -1, -1, -1]
 
 
 def test_shortest_path_lengths_match_bfs_oracle():
@@ -239,12 +246,12 @@ def test_shortest_path_lengths_match_bfs_oracle():
                         dist[v] = dist[u] + 1
                         nxt.append(v)
             frontier = nxt
-        path = shortest_path(g, src, dst, nodeset(g, avoid))
+        path = _shortest_path(g, src, dst, avoid)
         if dst not in dist:
             assert path is None
         else:
             assert path is not None
             assert len(path) - 1 == dist[dst]
             assert path[0] == src and path[-1] == dst
-            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert all(b in g.out_adj[a] for a, b in zip(path, path[1:]))
             assert not any(v in avoid for v in path)

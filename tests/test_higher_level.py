@@ -19,7 +19,6 @@ from prodform import (
     expected_fixtures,
     generate,
     higher_level_cut_graph,
-    hypergraph_to_json,
     ancestors_avoiding,
     is_jaf,
     mutually_avoiding_ancestors,
@@ -27,7 +26,7 @@ from prodform import (
     sourced_cut,
     sps_relation,
 )
-from prodform import higher_level
+from prodform import cli, higher_level
 from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
 from prodform.numeric import random_rates, stationary, verify_relation
 from prodform.product_form import _sources
@@ -71,8 +70,8 @@ def test_batch_v1_second_level_hyperedges():
     # The interior hyperedges plus the one at the truncation boundary.
     assert got == expected + [(frozenset({"7", "bar7"}), frozenset({"8"}))]
     for h in hyperedges:
-        assert h.cut.source_a.issubset(c1.components[h.comp_i])
-        assert h.cut.source_b.issubset(c1.components[h.comp_j])
+        assert not h.cut.source_a - c1.components[h.comp_i]
+        assert not h.cut.source_b - c1.components[h.comp_j]
 
 
 def test_batch_v2_second_level_hyperedge():
@@ -147,7 +146,7 @@ def test_levels_coarsen_components():
     previous = c1.components
     for lv in higher_level_cut_graph(c, 10):
         for comp in previous:
-            assert any(comp.issubset(merged) for merged in lv.components)
+            assert any(not comp - merged for merged in lv.components)
         assert len(lv.components) < len(previous)
         previous = lv.components
 
@@ -161,11 +160,11 @@ def test_hyperedge_sources_are_sound_across_random_chains():
         for h in _level2_hyperedges(c, c1):
             comp_i, comp_j = c1.components[h.comp_i], c1.components[h.comp_j]
             assert h.cut.source_a and h.cut.source_b
-            assert h.cut.source_a.issubset(comp_i) and h.cut.source_b.issubset(comp_j)
+            assert not h.cut.source_a - comp_i and not h.cut.source_b - comp_j
             assert is_jaf(c, comp_i, comp_j)
-            assert (h.cut.side_a | h.cut.side_b) == NodeSet.full(g.n)
+            assert (h.cut.side_a | h.cut.side_b) == NodeSet.of(range(g.n), g.n)
             assert h.cut.side_a.isdisjoint(h.cut.side_b)
-            assert comp_i.issubset(h.cut.side_a) and comp_j.issubset(h.cut.side_b)
+            assert not comp_i - h.cut.side_a and not comp_j - h.cut.side_b
 
 
 # ---- sum-of-ratio relations ----
@@ -264,7 +263,7 @@ def test_broad_search_matches_fixture():
     assert masks == sorted(masks)
     for i, j in found:
         assert i and j
-        assert i.issubset(k1) and j.issubset(k2)
+        assert not i - k1 and not j - k2
         assert is_jaf(c, i, j)
 
 
@@ -279,8 +278,8 @@ def test_broad_search_contains_narrow_sources():
 
 def test_broad_search_validates_inputs():
     c = generate(ModelSpec(Family.BATCH_V2))
-    full = NodeSet.full(c.graph.n)
-    empty = NodeSet.empty(c.graph.n)
+    full = NodeSet.of(range(c.graph.n), c.graph.n)
+    empty = NodeSet(0, c.graph.n)
     some = NodeSet.of([0, 1], c.graph.n)
     with pytest.raises(InvalidArgumentError, match="nonempty and disjoint"):
         broad_cut_search(c, empty, some)
@@ -499,10 +498,13 @@ def test_analyze_first_level_matches_the_closures_on_random_chains():
 # ---- serialization ----
 
 
-def test_hypergraph_serialization_shape():
-    c = generate(ModelSpec(Family.BATCH_V1))
-    (level2,) = higher_level_cut_graph(c, 2)
-    doc = hypergraph_to_json(level2, c.graph.labels)
+def test_hypergraph_serialization_shape(tmp_path):
+    path, out = str(tmp_path / "batchv1.json"), str(tmp_path / "report.json")
+    assert cli.main(["generate", "batchv1", "--out", path]) == cli.EXIT_OK
+    assert cli.main(["analyze", path, "--max-level", "2", "--out", out]) == cli.EXIT_OK
+    with open(out, encoding="utf-8") as handle:
+        (doc,) = json.load(handle)["levels"]
+    assert list(doc) == ["level", "hyperedges", "components", "relations"]
     assert doc["level"] == 2
     assert len(doc["hyperedges"]) == 5
     first = doc["hyperedges"][0]

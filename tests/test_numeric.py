@@ -375,10 +375,9 @@ def test_cut_residuals_equal_the_loop_with_self_loops():
         _assert_residuals_exact(c, random_rates(c, seed), _every_bipartition(c))
 
 
-def test_cut_residuals_span_several_blocks_on_a_long_cycle():
+def test_cut_residuals_are_exact_on_a_long_cycle():
     c = FormalChain(one_way_cycle(60))
     cuts = analyze(c, 2).cuts
-    assert len(cuts) * c.graph.edge_count > 1 << 16
     for seed in range(3):
         _assert_residuals_exact(c, random_rates(c, seed), cuts)
 
@@ -392,8 +391,8 @@ def test_cut_residuals_validate_the_universe():
         cut_residuals(pi, rates, [Cut(side, side, side.complement())])
     head, next_ = NodeSet.of([0], 4), NodeSet.of([1], 4)
     for bad in (
-        Cut(head, NodeSet.empty(4), next_),
-        Cut(head, head, NodeSet.empty(4)),
+        Cut(head, NodeSet(0, 4), next_),
+        Cut(head, head, NodeSet(0, 4)),
         Cut(head, next_, next_),
         Cut(head, head, head),
     ):

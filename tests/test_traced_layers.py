@@ -8,29 +8,14 @@ deleting or renaming a traced function fails here, not only in a traced run.
 """
 from __future__ import annotations
 
-import ast
 import importlib
 import inspect
-from pathlib import Path
 
 import pytest
 
-_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+from util import traced_rows
 
-
-def _traced_rows() -> list[str]:
-    """``LAYER_TIMES`` and ``LAYER_COUNTS`` as written in the benchmark script, without importing it."""
-    rows: dict[str, tuple[str, ...]] = {}
-    for node in ast.parse(_RUN.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id in ("LAYER_TIMES", "LAYER_COUNTS"):
-                rows[target.id] = ast.literal_eval(node.value)
-    assert set(rows) == {"LAYER_TIMES", "LAYER_COUNTS"}, f"not found in {_RUN.name}"
-    return [row for name in ("LAYER_TIMES", "LAYER_COUNTS") for row in rows[name]]
-
-
-_FUNCTION_ROWS = [row for row in _traced_rows() if row.count(".") == 2]
+_FUNCTION_ROWS = [row for row in traced_rows() if row.count(".") == 2]
 
 
 def test_rows_are_read():

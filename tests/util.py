@@ -1,14 +1,20 @@
 """Shared builders and brute-force oracles for the test suite."""
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+import re
 from functools import cache
+from pathlib import Path
 
 from prodform.errors import InvalidArgumentError
+from prodform.factors import FactorExpr, RateAtom, SumExpr
 from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
 from prodform.numeric import RateAssignment, StationaryMeasure
 from prodform.product_form import Cut, FormalChain
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---- fixture graphs ----
@@ -179,6 +185,15 @@ def corpus_chain(n: int, rows: tuple[int, ...]) -> FormalChain:
 # ---- brute-force oracles ----
 
 
+def atom_edges(e: FactorExpr) -> frozenset[tuple[int, int]]:
+    """The set of edges whose rates appear anywhere in the expression."""
+    if isinstance(e, RateAtom):
+        return frozenset([(e.src, e.dst)])
+    if isinstance(e, SumExpr):
+        return frozenset().union(*(atom_edges(t) for t in e.terms))
+    return frozenset().union(*(atom_edges(f) for f, _ in e.factors))
+
+
 def naive_ancestors(g: DirectedGraph, seed: set[int], avoid: set[int] = frozenset()) -> set[int]:
     """Set-based fixpoint: grow the seed by in-neighbors until nothing changes."""
     result = set(seed)
@@ -195,8 +210,8 @@ def naive_ancestors(g: DirectedGraph, seed: set[int], avoid: set[int] = frozense
 def set_avoiding_subgraph(g: DirectedGraph, avoid: NodeSet) -> tuple[DirectedGraph, tuple[int, ...]]:
     """The subgraph induced on ``V - avoid``, with labels preserved, and its parent index.
 
-    The parent index maps the subgraph's dense indices back to ``g``, so plain
-    ``ancestors`` on the subgraph is a reference for ``ancestors_avoiding``.
+    The parent index maps the subgraph's dense indices back to ``g``, so
+    ``naive_ancestors`` on the subgraph is a reference for ``ancestors_avoiding``.
     Removing every node is rejected (graphs are nonempty).
     """
     if avoid.universe != g.n:
@@ -248,3 +263,27 @@ def reference_cut_residual(pi: StationaryMeasure, rates: RateAssignment, cut: Cu
         elif u in cut.side_b and v in cut.side_a:
             backward += pi[u] * q
     return abs(forward - backward) / (forward + backward)
+
+
+# ---- repository texts ----
+
+
+def traced_rows() -> list[str]:
+    """``LAYER_TIMES`` and ``LAYER_COUNTS`` as written in the benchmark script, without importing it."""
+    run = _ROOT / "perfbench" / "run.py"
+    rows: dict[str, tuple[str, ...]] = {}
+    for node in ast.parse(run.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("LAYER_TIMES", "LAYER_COUNTS"):
+                rows[target.id] = ast.literal_eval(node.value)
+    assert set(rows) == {"LAYER_TIMES", "LAYER_COUNTS"}, f"not found in {run.name}"
+    return [row for name in ("LAYER_TIMES", "LAYER_COUNTS") for row in rows[name]]
+
+
+def readme_library_example() -> str:
+    """The python block under README's "Library example" heading."""
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library example\n+```python\n(.*?)^```", text, re.M | re.S)
+    assert match, "README has no python block under '## Library example'"
+    return match.group(1)
