@@ -12,8 +12,8 @@ import json
 import math
 import random
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
@@ -23,9 +23,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .factors import Relation, factor_to_json, relation_to_json
-from .graph_core import DirectedGraph, NodeSet, connectivity_witness
+from .graph_core import DirectedGraph, connectivity_witness
 from .higher_level import Analysis, analyze, broad_pair_scan, higher_level_cut_graph
-from .models import Family, FixtureBundle, ModelSpec, expected_fixtures
+from .models import Family, FixtureBundle, ModelSpec, expected_fixtures, parameter_names
 from .models import generate as generate_model
 from .numeric import (
     RateAssignment,
@@ -126,7 +126,7 @@ def parse_document(text: str) -> GraphDocument:
 def document_to_chain(doc: GraphDocument) -> tuple[FormalChain, RateAssignment | None]:
     """Build the validated chain (and the rate assignment when rates are given)."""
     g = DirectedGraph.from_labeled_edges(list(doc.nodes), list(doc.edges))
-    kind = ChainKind.CTMC if doc.kind == "ctmc" else ChainKind.DTMC
+    kind = ChainKind(doc.kind)
     c = FormalChain(g, kind)
     if doc.rates is None:
         return c, None
@@ -148,8 +148,7 @@ def emit_document(
         values = tuple(
             rates.values[(g.index_of[a], g.index_of[b])] for a, b in edges
         )
-    kind = "ctmc" if c.kind is ChainKind.CTMC else "dtmc"
-    return GraphDocument(name=name, kind=kind, nodes=nodes, edges=edges, rates=values)
+    return GraphDocument(name=name, kind=c.kind.value, nodes=nodes, edges=edges, rates=values)
 
 
 def _load(path: str) -> tuple[GraphDocument, FormalChain, RateAssignment | None]:
@@ -205,21 +204,17 @@ def _write_text(text: str, path: str | None) -> None:
 # ---- analyze ----
 
 
-def _label_pair(c: FormalChain, a: int, b: int) -> list[str]:
-    return sorted((c.graph.labels[a], c.graph.labels[b]))
+def _names(labels: Sequence[str], nodes: Iterable[int]) -> list[str]:
+    return sorted(labels[v] for v in nodes)
 
 
 def _report_body(c: FormalChain, found: Analysis) -> dict:
     """The ``first_level`` and ``levels`` entries of the analyze report."""
     labels = c.graph.labels
-
-    def names(s: NodeSet) -> list[str]:
-        return sorted(labels[v] for v in s)
-
     first_count = len(found.edge_order)
     first_level = {
-        "edges": [_label_pair(c, a, b) for a, b in found.edge_order],
-        "components": [names(comp) for comp in found.c1.components],
+        "edges": [_names(labels, e) for e in found.edge_order],
+        "components": [_names(labels, comp) for comp in found.c1.components],
         "relations": [relation_to_json(r, labels) for r in found.relations[:first_count]],
     }
     levels = []
@@ -228,14 +223,14 @@ def _report_body(c: FormalChain, found: Analysis) -> dict:
             "level": lv.level,
             "hyperedges": [
                 {
-                    "source_i": names(h.cut.source_a),
-                    "source_j": names(h.cut.source_b),
-                    "cut_a": names(h.cut.side_a),
-                    "cut_b": names(h.cut.side_b),
+                    "source_i": _names(labels, h.cut.source_a),
+                    "source_j": _names(labels, h.cut.source_b),
+                    "cut_a": _names(labels, h.cut.side_a),
+                    "cut_b": _names(labels, h.cut.side_b),
                 }
                 for h in lv.hyperedges
             ],
-            "components": [names(comp) for comp in lv.components],
+            "components": [_names(labels, comp) for comp in lv.components],
         }
         if lv.level == 2:
             entry["relations"] = [
@@ -312,7 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ],
         "cuts": [
             {
-                "side_a": sorted(labels[v] for v in cut.side_a),
+                "side_a": _names(labels, cut.side_a),
                 "worst_residual": cut_worst[k],
             }
             for k, cut in enumerate(cuts)
@@ -327,66 +322,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ---- generate ----
 
-_PARAM_FLAGS = (
-    ("n", "n"),
-    ("k", "k"),
-    ("blocks", "blocks"),
-    ("blocksize", "blocksize"),
-    ("c1", "c1"),
-    ("c2", "c2"),
-    ("servers", "servers"),
-    ("multiple", "multiple"),
-    ("truncate", "truncation"),
-)
+def _fixture_value(value: object, labels: Sequence[str]) -> object:
+    if isinstance(value, Relation):
+        return relation_to_json(value, labels)
+    if isinstance(value, frozenset):
+        return sorted(_fixture_value(v, labels) for v in value)
+    if isinstance(value, tuple):
+        return [_fixture_value(v, labels) for v in value]
+    return value
 
 
 def _fixture_to_json(fx: FixtureBundle | None, labels: Sequence[str]) -> dict:
+    """Every field that differs from its default; ``closed_form`` rows become objects."""
     if fx is None:
         return {"pinned": False}
-
-    def pairs(items) -> list[list[list[str]]]:
-        return [[sorted(a), sorted(b)] for a, b in items]
-
     doc: dict = {"pinned": True}
-    if fx.c1_edges is not None:
-        doc["c1_edges"] = sorted(sorted(pair) for pair in fx.c1_edges)
-    if fx.c1_components is not None:
-        doc["c1_components"] = [sorted(comp) for comp in fx.c1_components]
-    if fx.relations:
-        doc["relations"] = [relation_to_json(r, labels) for r in fx.relations]
-    if fx.cut_sides:
-        doc["cut_sides"] = pairs(fx.cut_sides)
-    if fx.level2_sources:
-        doc["level2_sources"] = pairs(fx.level2_sources)
-    if fx.level3_sources:
-        doc["level3_sources"] = pairs(fx.level3_sources)
-    if fx.psps_relation is not None:
-        doc["psps_relation"] = relation_to_json(fx.psps_relation, labels)
-    if fx.closed_form is not None:
-        doc["closed_form"] = [
-            {"node": lab, "factor": factor_to_json(expr, labels)}
-            for lab, expr in fx.closed_form
-        ]
-    if fx.broad_query is not None:
-        doc["broad_query"] = [sorted(fx.broad_query[0]), sorted(fx.broad_query[1])]
-        doc["broad_members"] = pairs(fx.broad_members)
-    if fx.clique_members is not None:
-        doc["clique_members"] = sorted(fx.clique_members)
-        doc["clique_territories"] = [[m, sorted(t)] for m, t in fx.clique_territories]
-        doc["clique_cycle"] = list(fx.clique_cycle)
-    if fx.clique_cut is not None:
-        doc["clique_cut"] = [sorted(fx.clique_cut[0]), sorted(fx.clique_cut[1])]
-    if fx.non_jaf_pairs is not None:
-        doc["non_jaf_pairs"] = sorted(sorted(pair) for pair in fx.non_jaf_pairs)
+    for f in fields(FixtureBundle):
+        value = getattr(fx, f.name)
+        if value == f.default:
+            continue
+        if f.name == "closed_form":
+            doc[f.name] = [
+                {"node": lab, "factor": factor_to_json(expr, labels)} for lab, expr in value
+            ]
+        else:
+            doc[f.name] = _fixture_value(value, labels)
     return doc
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    params = {}
-    for flag, key in _PARAM_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            params[key] = value
+    params = {k: getattr(args, k) for k in parameter_names() if getattr(args, k) is not None}
     if args.with_fixtures and args.out is None:
         raise InvalidArgumentError("--with-fixtures requires --out")
     spec = ModelSpec(Family(args.family), params)
@@ -422,18 +387,18 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
     brute = enumerate_sourced_cuts(c)
     scanned = cut_graph(c).edges
     brute_pairs = set(brute)
-    missing = sorted(_label_pair(c, a, b) for a, b in brute_pairs - scanned)
-    extra = sorted(_label_pair(c, a, b) for a, b in scanned - brute_pairs)
+    missing = sorted(_names(labels, e) for e in brute_pairs - scanned)
+    extra = sorted(_names(labels, e) for e in scanned - brute_pairs)
     agreed = not missing and not extra
     report = {
         "mode": "cuts",
         "cuts": [
             {
-                "pair": _label_pair(c, a, b),
-                "side_a": sorted(labels[v] for v in cut.side_a),
-                "side_b": sorted(labels[v] for v in cut.side_b),
+                "pair": _names(labels, pair),
+                "side_a": _names(labels, cut.side_a),
+                "side_b": _names(labels, cut.side_b),
             }
-            for (a, b), cut in sorted(brute.items(), key=lambda kv: _label_pair(c, *kv[0]))
+            for pair, cut in sorted(brute.items(), key=lambda kv: _names(labels, kv[0]))
         ],
         "diff": {"missing": missing, "extra": extra},
         "match": agreed,
@@ -444,33 +409,33 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
 def _broad_findings(c: FormalChain) -> tuple[list[dict], list[str], list[str], list[dict]]:
     """The broad scan's pair reports, conjecture findings and skipped pairs, by label."""
     labels = c.graph.labels
-
-    def names(s: NodeSet) -> list[str]:
-        return sorted(labels[v] for v in s)
-
     found, skipped = broad_pair_scan(c)
     pair_reports: list[dict] = []
     conjecture1: list[str] = []
     conjecture2: list[str] = []
     for pair in found:
+        comp_i, comp_j = _names(labels, pair.comp_i), _names(labels, pair.comp_j)
         pair_reports.append(
             {
-                "comp_i": names(pair.comp_i),
-                "comp_j": names(pair.comp_j),
-                "members": [[names(i), names(j)] for i, j in pair.members],
+                "comp_i": comp_i,
+                "comp_j": comp_j,
+                "members": [[_names(labels, i), _names(labels, j)] for i, j in pair.members],
                 "components_free": pair.components_free,
             }
         )
         if not pair.components_free:
             conjecture1.append(
-                f"({'|'.join(names(pair.comp_i))}) vs ({'|'.join(names(pair.comp_j))}): "
+                f"({'|'.join(comp_i)}) vs ({'|'.join(comp_j)}): "
                 "members exist but the full components are not free"
             )
         conjecture2.extend(
-            f"({'|'.join(names(i))}) vs ({'|'.join(names(j))}): no one-node extension"
+            f"({'|'.join(_names(labels, i))}) vs ({'|'.join(_names(labels, j))}): "
+            "no one-node extension"
             for i, j in pair.stranded
         )
-    skipped_reports = [{"comp_i": names(k1), "comp_j": names(k2)} for k1, k2 in skipped]
+    skipped_reports = [
+        {"comp_i": _names(labels, k1), "comp_j": _names(labels, k2)} for k1, k2 in skipped
+    ]
     return pair_reports, conjecture1, conjecture2, skipped_reports
 
 
@@ -566,7 +531,9 @@ def _dot_id(label: str) -> str:
 
 def _dot_node(label: str) -> str:
     if label.startswith("bar") and len(label) > 3:
-        return f"{_dot_id(label)} [label=<<O>{label[3:]}</O>>];"
+        # "&" goes first. html.escape would also load html.entities, about 0.5 MB.
+        text = label[3:].replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        return f"{_dot_id(label)} [label=<<O>{text}</O>>];"
     return f"{_dot_id(label)};"
 
 
@@ -581,7 +548,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         for k, comp in enumerate(c1.components):
             lines.append(f"  subgraph cluster_{k} {{")
             lines.append("    style=dashed; color=gray;")
-            for lab in sorted(labels[v] for v in comp):
+            for lab in _names(labels, comp):
                 lines.append("    " + _dot_node(lab))
             lines.append("  }")
     else:
@@ -590,7 +557,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     for a, b in sorted((labels[u], labels[v]) for u, v in c.graph.edge_list):
         lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
     if args.annotate >= 1:
-        for a, b in sorted(_label_pair(c, u, v) for u, v in c1.edges):
+        for a, b in sorted(_names(labels, e) for e in c1.edges):
             lines.append(
                 f"  {_dot_id(a)} -> {_dot_id(b)} [dir=none, style=dashed, constraint=false, color=gray40];"
             )
@@ -641,8 +608,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a family instance as a graph document")
     p.add_argument("family", choices=sorted(f.value for f in Family))
-    for flag, _ in _PARAM_FLAGS:
-        p.add_argument(f"--{flag}", type=int, default=None)
+    for key in parameter_names():
+        flag = "truncate" if key == "truncation" else key
+        p.add_argument(f"--{flag}", dest=key, metavar=flag.upper(), type=int)
     p.add_argument("--name", default=None, help="document name (default: family)")
     p.add_argument("--out", default=None, help="document path (default stdout)")
     p.add_argument(

@@ -180,23 +180,18 @@ def circuit_stats(e: FactorExpr) -> CircuitStats:
     """
     if isinstance(e, RateAtom):
         return CircuitStats(0, 0)
-    return CircuitStats(_depth(e), _node_count(e))
+    return CircuitStats(*_circuit(e))
 
 
-def _depth(e: FactorExpr) -> int:
+def _circuit(e: FactorExpr) -> tuple[int, int]:
+    """``(depth, size)`` of the circuit below ``e``, an atom being one input node."""
     if isinstance(e, RateAtom):
-        return 0
+        return 0, 1
     if isinstance(e, SumExpr):
-        return 1 + max(_depth(t) for t in e.terms)
-    return 1 + max(_depth(f) + (1 if exp < 0 else 0) for f, exp in e.factors)
-
-
-def _node_count(e: FactorExpr) -> int:
-    if isinstance(e, RateAtom):
-        return 1
-    if isinstance(e, SumExpr):
-        return 1 + sum(_node_count(t) for t in e.terms)
-    return 1 + sum(_node_count(f) + (1 if exp < 0 else 0) for f, exp in e.factors)
+        parts = [(_circuit(t), 0) for t in e.terms]
+    else:
+        parts = [(_circuit(f), int(exp < 0)) for f, exp in e.factors]
+    return 1 + max(d + r for (d, _), r in parts), 1 + sum(n + r for (_, n), r in parts)
 
 
 # ---- relations ----

@@ -9,6 +9,7 @@ independent transcription rather than against itself.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -37,21 +38,6 @@ class Family(Enum):
     QUOTIENT_RING = "ring"
 
 
-_DEFAULTS: dict[Family, dict[str, int]] = {
-    Family.BIRTH_DEATH: {"n": 6},
-    Family.ONE_WAY_CYCLE: {"n": 5},
-    Family.ONE_WAY_CYCLE_PLUS_EDGE: {"n": 5, "k": 3},
-    Family.TWO_WAY_CYCLE: {"n": 5},
-    Family.TREE: {"n": 7},
-    Family.QBD_TOY: {"blocks": 3, "blocksize": 3},
-    Family.LADDER: {},
-    Family.MSJ_SATURATED: {"c1": 3, "c2": 10, "servers": 30},
-    Family.BATCH_V1: {"multiple": 3, "truncation": 8},
-    Family.BATCH_V2: {"truncation": 6},
-    Family.QUOTIENT_RING: {},
-}
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A family plus its integer parameters; explicit ``params`` win over defaults."""
@@ -63,41 +49,6 @@ class ModelSpec:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidArgumentError(message)
-
-
-def _resolve(spec: ModelSpec) -> dict[str, int]:
-    defaults = _DEFAULTS[spec.family]
-    params = dict(defaults)
-    unknown = sorted(set(spec.params) - set(defaults))
-    _require(not unknown, f"unknown parameters for {spec.family.value}: {', '.join(unknown)}")
-    params.update(spec.params)
-    for key, value in params.items():
-        _require(
-            isinstance(value, int) and value >= 0,
-            f"parameter {key} must be a nonnegative integer",
-        )
-    f = spec.family
-    if f in (Family.BIRTH_DEATH, Family.ONE_WAY_CYCLE, Family.TWO_WAY_CYCLE):
-        _require(params["n"] >= 2, "n must be at least 2")
-    elif f is Family.ONE_WAY_CYCLE_PLUS_EDGE:
-        _require(params["n"] >= 3, "n must be at least 3")
-        _require(3 <= params["k"] <= params["n"], "k must satisfy 3 <= k <= n")
-    elif f is Family.TREE:
-        _require(params["n"] >= 2, "n must be at least 2")
-    elif f is Family.QBD_TOY:
-        _require(params["blocks"] >= 2, "blocks must be at least 2")
-        _require(params["blocksize"] >= 2, "blocksize must be at least 2")
-    elif f is Family.MSJ_SATURATED:
-        _require(params["c1"] >= 1, "c1 must be at least 1")
-        _require(params["c2"] >= 1, "c2 must be at least 1")
-        _require(params["servers"] >= params["c1"], "servers must cover one class-1 job")
-        _require(params["servers"] >= params["c2"], "servers must cover one class-2 job")
-    elif f is Family.BATCH_V1:
-        _require(params["multiple"] >= 2, "multiple must be at least 2")
-        _require(params["truncation"] >= 1, "truncation must be at least 1")
-    elif f is Family.BATCH_V2:
-        _require(params["truncation"] >= 1, "truncation must be at least 1")
-    return params
 
 
 # ---- generators ----
@@ -185,28 +136,24 @@ def _qbd_toy(blocks: int, blocksize: int) -> DirectedGraph:
     return DirectedGraph.from_labeled_edges(labels, edges)
 
 
-def _batch_nodes(truncation: int) -> list[str]:
-    return [str(j) for j in range(truncation + 1)] + [f"bar{j}" for j in range(1, truncation + 1)]
+def _batch(truncation: int, bar_edges: list[tuple[str, str]]) -> DirectedGraph:
+    """The edges both batch chains share, plus each one's own ``bar_edges``."""
+    nodes = [str(j) for j in range(truncation + 1)] + [f"bar{j}" for j in range(1, truncation + 1)]
+    edges = [(str(j), str(j - 1)) for j in range(1, truncation + 1)]
+    edges += [(str(i), f"bar{i + 1}") for i in range(truncation)]
+    edges += [(f"bar{j}", str(j)) for j in range(1, truncation + 1)]
+    return DirectedGraph.from_labeled_edges(nodes, edges + bar_edges)
 
 
 def _batch_v1(multiple: int, truncation: int) -> DirectedGraph:
-    edges = [(str(j), str(j - 1)) for j in range(1, truncation + 1)]
-    edges += [(str(i), f"bar{i + 1}") for i in range(truncation)]
-    edges += [(f"bar{j}", str(j)) for j in range(1, truncation + 1)]
-    edges += [
-        (f"bar{j}", f"bar{j + 1}")
-        for j in range(1, truncation)
-        if j % multiple != 0
-    ]
-    return DirectedGraph.from_labeled_edges(_batch_nodes(truncation), edges)
+    return _batch(
+        truncation,
+        [(f"bar{j}", f"bar{j + 1}") for j in range(1, truncation) if j % multiple != 0],
+    )
 
 
 def _batch_v2(truncation: int) -> DirectedGraph:
-    edges = [(str(j), str(j - 1)) for j in range(1, truncation + 1)]
-    edges += [(str(i), f"bar{i + 1}") for i in range(truncation)]
-    edges += [(f"bar{j}", str(j)) for j in range(1, truncation + 1)]
-    edges += [(f"bar{j}", str(j + 1)) for j in range(1, truncation)]
-    return DirectedGraph.from_labeled_edges(_batch_nodes(truncation), edges)
+    return _batch(truncation, [(f"bar{j}", str(j + 1)) for j in range(1, truncation)])
 
 
 def _msj_saturated(c1: int, c2: int, servers: int) -> DirectedGraph:
@@ -274,33 +221,76 @@ def _msj_saturated(c1: int, c2: int, servers: int) -> DirectedGraph:
     return DirectedGraph.from_labeled_edges(labels, edges)
 
 
+# ---- the family table ----
+
+_Check = tuple[Callable[[dict[str, int]], bool], str]
+
+
+def _least(key: str, bound: int) -> _Check:
+    return (lambda p: p[key] >= bound, f"{key} must be at least {bound}")
+
+
+# Family -> (default parameters, checks in the order they run, graph builder).
+_FAMILIES: dict[Family, tuple[dict[str, int], tuple[_Check, ...], Callable]] = {
+    Family.BIRTH_DEATH: ({"n": 6}, (_least("n", 2),), _birth_death),
+    Family.ONE_WAY_CYCLE: ({"n": 5}, (_least("n", 2),), _one_way_cycle),
+    Family.ONE_WAY_CYCLE_PLUS_EDGE: (
+        {"n": 5, "k": 3},
+        (_least("n", 3), (lambda p: 3 <= p["k"] <= p["n"], "k must satisfy 3 <= k <= n")),
+        lambda n, k: _one_way_cycle(n, extra=("1", str(k))),
+    ),
+    Family.TWO_WAY_CYCLE: ({"n": 5}, (_least("n", 2),), _two_way_cycle),
+    Family.TREE: ({"n": 7}, (_least("n", 2),), _tree),
+    Family.QBD_TOY: (
+        {"blocks": 3, "blocksize": 3}, (_least("blocks", 2), _least("blocksize", 2)), _qbd_toy
+    ),
+    Family.LADDER: (
+        {}, (), lambda: DirectedGraph.from_labeled_edges(_LADDER_NODES, _LADDER_EDGES)
+    ),
+    Family.MSJ_SATURATED: (
+        {"c1": 3, "c2": 10, "servers": 30},
+        (
+            _least("c1", 1),
+            _least("c2", 1),
+            (lambda p: p["servers"] >= p["c1"], "servers must cover one class-1 job"),
+            (lambda p: p["servers"] >= p["c2"], "servers must cover one class-2 job"),
+        ),
+        _msj_saturated,
+    ),
+    Family.BATCH_V1: (
+        {"multiple": 3, "truncation": 8},
+        (_least("multiple", 2), _least("truncation", 1)),
+        _batch_v1,
+    ),
+    Family.BATCH_V2: ({"truncation": 6}, (_least("truncation", 1),), _batch_v2),
+    Family.QUOTIENT_RING: ({}, (), lambda: DirectedGraph.from_labeled_edges(_RING_NODES, _RING_EDGES)),
+}
+
+
+def parameter_names() -> list[str]:
+    """Every family parameter name, each once, in the order the family table first uses it."""
+    return list(dict.fromkeys(key for defaults, _, _ in _FAMILIES.values() for key in defaults))
+
+
+def _resolve(spec: ModelSpec) -> dict[str, int]:
+    defaults, checks, _ = _FAMILIES[spec.family]
+    unknown = sorted(set(spec.params) - set(defaults))
+    _require(not unknown, f"unknown parameters for {spec.family.value}: {', '.join(unknown)}")
+    params = {**defaults, **spec.params}
+    for key, value in params.items():
+        _require(
+            isinstance(value, int) and value >= 0,
+            f"parameter {key} must be a nonnegative integer",
+        )
+    for holds, message in checks:
+        _require(holds(params), message)
+    return params
+
+
 def generate(spec: ModelSpec) -> FormalChain:
     """Build the family's chain; raises on parameters that violate a constraint."""
-    p = _resolve(spec)
-    f = spec.family
-    if f is Family.BIRTH_DEATH:
-        g = _birth_death(p["n"])
-    elif f is Family.ONE_WAY_CYCLE:
-        g = _one_way_cycle(p["n"])
-    elif f is Family.ONE_WAY_CYCLE_PLUS_EDGE:
-        g = _one_way_cycle(p["n"], extra=("1", str(p["k"])))
-    elif f is Family.TWO_WAY_CYCLE:
-        g = _two_way_cycle(p["n"])
-    elif f is Family.TREE:
-        g = _tree(p["n"])
-    elif f is Family.QBD_TOY:
-        g = _qbd_toy(p["blocks"], p["blocksize"])
-    elif f is Family.LADDER:
-        g = DirectedGraph.from_labeled_edges(_LADDER_NODES, _LADDER_EDGES)
-    elif f is Family.MSJ_SATURATED:
-        g = _msj_saturated(p["c1"], p["c2"], p["servers"])
-    elif f is Family.BATCH_V1:
-        g = _batch_v1(p["multiple"], p["truncation"])
-    elif f is Family.BATCH_V2:
-        g = _batch_v2(p["truncation"])
-    else:
-        g = DirectedGraph.from_labeled_edges(_RING_NODES, _RING_EDGES)
-    return FormalChain(g)
+    _, _, build = _FAMILIES[spec.family]
+    return FormalChain(build(**_resolve(spec)))
 
 
 # ---- expected fixtures ----
@@ -405,55 +395,47 @@ def _composed_closed_form(
     return tuple(out)
 
 
-def _msj_fixture(c: FormalChain, c1_: int, c2_: int, servers: int) -> FixtureBundle:
+def _msj_fixture(c: FormalChain, default: bool) -> FixtureBundle:
     g = c.graph
-    default = (c1_, c2_, servers) == (3, 10, 30)
-    spine = _msj_spine(list(g.labels))
-    closed_form = None
-    if default:
-        # Boundary indices where a stage lacks its downward completion edge
-        # (the running class then changes), its forward continuation edge
-        # (the next admission must wait for a completion), or its own
-        # admission edge (completion states past the last admission stage).
-        no_completion = {0, 3, 6, 10}
-        no_continuation = {2, 5, 9}
-        no_admission = {7, 8, 9}
-        acc: list[tuple[FactorExpr, int]] = []
-        rows: list[tuple[str, FactorExpr]] = []
-        for j in range(10):
-            down = [] if j in no_completion else [str(j - 1)]
-            admit = [] if j in no_admission else [f"bar{j}"]
-            fwd_j = _sum(g, str(j), down + admit)
-            cont = [f"bar{j + 1}"] if j not in no_continuation else []
-            bwd_j = _sum(g, f"bar{j}", [str(j)] + cont)
-            acc += [(fwd_j, 1), (bwd_j, -1)]
-            rows.append((f"bar{j}", product_of(list(acc))))
-            if j not in no_continuation:
-                fwd_bar = _sum(g, f"bar{j}", [f"bar{j + 1}"])
-                bwd_bar = _sum(g, str(j + 1), [str(j)])
-            else:
-                fwd_bar = _sum(g, f"bar{j}", [str(j + 1)])
-                bwd_bar = _sum(g, str(j + 1), [f"bar{j}"])
-            acc += [(fwd_bar, 1), (bwd_bar, -1)]
-            rows.append((str(j + 1), product_of(list(acc))))
-        closed_form = tuple(rows)
-    elif spine is not None:
-        closed_form = _composed_closed_form(c, spine)
-
-    c1_edges = None
-    relations: tuple[Relation, ...] = ()
-    components = None
-    if default:
-        # The two rungs {i, bar i} and {bar i, i+1} for every stage, plus the
-        # three arrival-arrival pairs in the stretch where completion states
-        # have a single outgoing edge. (Pairs such as {7, 8} are not free:
-        # bar7 reaches 7 directly and 8 through bar8.)
-        ladder = [(str(i), f"bar{i}") for i in range(10)]
-        ladder += [(f"bar{i}", str(i + 1)) for i in range(10)]
-        extra = [("bar6", "bar7"), ("bar7", "bar8"), ("bar8", "bar9")]
-        c1_edges = _pairs(*(ladder + extra))
-        components = (frozenset(g.labels),)
-        relations = (
+    if not default:
+        spine = _msj_spine(list(g.labels))
+        return FixtureBundle(closed_form=None if spine is None else _composed_closed_form(c, spine))
+    # Boundary indices where a stage lacks its downward completion edge
+    # (the running class then changes), its forward continuation edge
+    # (the next admission must wait for a completion), or its own
+    # admission edge (completion states past the last admission stage).
+    no_completion = {0, 3, 6, 10}
+    no_continuation = {2, 5, 9}
+    no_admission = {7, 8, 9}
+    acc: list[tuple[FactorExpr, int]] = []
+    rows: list[tuple[str, FactorExpr]] = []
+    for j in range(10):
+        down = [] if j in no_completion else [str(j - 1)]
+        admit = [] if j in no_admission else [f"bar{j}"]
+        fwd_j = _sum(g, str(j), down + admit)
+        cont = [f"bar{j + 1}"] if j not in no_continuation else []
+        bwd_j = _sum(g, f"bar{j}", [str(j)] + cont)
+        acc += [(fwd_j, 1), (bwd_j, -1)]
+        rows.append((f"bar{j}", product_of(list(acc))))
+        if j not in no_continuation:
+            fwd_bar = _sum(g, f"bar{j}", [f"bar{j + 1}"])
+            bwd_bar = _sum(g, str(j + 1), [str(j)])
+        else:
+            fwd_bar = _sum(g, f"bar{j}", [str(j + 1)])
+            bwd_bar = _sum(g, str(j + 1), [f"bar{j}"])
+        acc += [(fwd_bar, 1), (bwd_bar, -1)]
+        rows.append((str(j + 1), product_of(list(acc))))
+    # The two rungs {i, bar i} and {bar i, i+1} for every stage, plus the
+    # three arrival-arrival pairs in the stretch where completion states
+    # have a single outgoing edge. (Pairs such as {7, 8} are not free:
+    # bar7 reaches 7 directly and 8 through bar8.)
+    ladder = [(str(i), f"bar{i}") for i in range(10)]
+    ladder += [(f"bar{i}", str(i + 1)) for i in range(10)]
+    extra = [("bar6", "bar7"), ("bar7", "bar8"), ("bar8", "bar9")]
+    return FixtureBundle(
+        c1_edges=_pairs(*(ladder + extra)),
+        c1_components=(frozenset(g.labels),),
+        relations=(
             _row(g, "bar0", ["0", "bar1"], "0", ["bar0"]),
             _row(g, "1", ["0"], "bar0", ["bar1"]),
             _row(g, "bar1", ["1", "bar2"], "1", ["0", "bar1"]),
@@ -462,12 +444,8 @@ def _msj_fixture(c: FormalChain, c1_: int, c2_: int, servers: int) -> FixtureBun
             _row(g, "3", ["bar2"], "bar2", ["3"]),
             _row(g, "bar3", ["3", "bar4"], "3", ["bar3"]),
             _row(g, "4", ["3"], "bar3", ["bar4"]),
-        )
-    return FixtureBundle(
-        c1_edges=c1_edges,
-        c1_components=components,
-        relations=relations,
-        closed_form=closed_form,
+        ),
+        closed_form=tuple(rows),
     )
 
 
@@ -590,6 +568,7 @@ def expected_fixtures(spec: ModelSpec) -> FixtureBundle | None:
     """Literal expectations for the family, or None when nothing is pinned."""
     p = _resolve(spec)
     f = spec.family
+    default = p == _FAMILIES[f][0]
     if f is Family.BIRTH_DEATH:
         n = p["n"]
         g = _birth_death(n)
@@ -600,8 +579,7 @@ def expected_fixtures(spec: ModelSpec) -> FixtureBundle | None:
             ),
         )
     if f is Family.ONE_WAY_CYCLE:
-        n = p["n"]
-        labels = [str(i + 1) for i in range(n)]
+        labels = [str(i + 1) for i in range(p["n"])]
         return FixtureBundle(
             c1_edges=frozenset(
                 frozenset({a, b}) for a in labels for b in labels if a < b
@@ -609,9 +587,9 @@ def expected_fixtures(spec: ModelSpec) -> FixtureBundle | None:
             c1_components=(frozenset(labels),),
         )
     if f is Family.ONE_WAY_CYCLE_PLUS_EDGE:
-        if (p["n"], p["k"]) != (5, 3):
+        if not default:
             return None
-        labels = [str(i + 1) for i in range(5)]
+        labels = [str(i + 1) for i in range(p["n"])]
         lost = _pairs(("2", "3"), ("2", "4"), ("2", "5"))
         complete = frozenset(frozenset({a, b}) for a in labels for b in labels if a < b)
         return FixtureBundle(c1_edges=complete - lost, non_jaf_pairs=lost)
@@ -620,14 +598,10 @@ def expected_fixtures(spec: ModelSpec) -> FixtureBundle | None:
     if f is Family.LADDER:
         return _ladder_fixture(generate(spec).graph)
     if f is Family.MSJ_SATURATED:
-        return _msj_fixture(generate(spec), p["c1"], p["c2"], p["servers"])
-    if f is Family.BATCH_V1:
-        if (p["multiple"], p["truncation"]) != (3, 8):
-            return None
+        return _msj_fixture(generate(spec), default)
+    if f is Family.BATCH_V1 and default:
         return _batch_v1_fixture(generate(spec).graph)
-    if f is Family.BATCH_V2:
-        if p["truncation"] != 6:
-            return None
+    if f is Family.BATCH_V2 and default:
         return _batch_v2_fixture(generate(spec).graph)
     if f is Family.QUOTIENT_RING:
         return _ring_fixture()

@@ -560,6 +560,19 @@ def test_export_renders_overbarred_labels(tmp_path):
     assert '  "bar1" [label=<<O>1</O>>];' in lines
 
 
+def test_export_escapes_overbarred_label_text(tmp_path):
+    # Text inside an HTML-like label must not carry a bare "<", ">" or "&".
+    nodes = ["bar<1>", "bar&2", "x"]
+    edges = [{"from": a, "to": b} for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"name": "esc", "nodes": nodes, "edges": edges}))
+    dot = tmp_path / "doc.dot"
+    assert cli.main(["export", str(path), "--dot", str(dot)]) == cli.EXIT_OK
+    lines = dot.read_text(encoding="utf-8").splitlines()
+    assert '  "bar<1>" [label=<<O>&lt;1&gt;</O>>];' in lines
+    assert '  "bar&2" [label=<<O>&amp;2</O>>];' in lines
+
+
 def test_export_is_deterministic(tmp_path):
     path = _generate(tmp_path, "msj")
     first = str(tmp_path / "a.dot")
