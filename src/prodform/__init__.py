@@ -26,6 +26,7 @@ from .factors import (
     make_relation,
     product_of,
     relation_to_json,
+    relations_to_json,
     sum_of,
 )
 from .graph_core import (
@@ -61,6 +62,7 @@ from .numeric import (
     enumerate_sourced_cuts,
     random_rates,
     rate_assignment,
+    relation_residuals,
     stationary,
     theorem3_witness,
     verify_relation,

@@ -12,9 +12,12 @@ import json
 import math
 import random
 import sys
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .errors import (
     InvalidArgumentError,
@@ -22,8 +25,8 @@ from .errors import (
     NumericError,
     ResourceLimitError,
 )
-from .factors import Relation, factor_to_json, relation_to_json
-from .graph_core import DirectedGraph, connectivity_witness
+from .factors import Relation, factor_to_json, relation_to_json, relations_to_json
+from .graph_core import DirectedGraph, NodeSet, connectivity_witness
 from .higher_level import Analysis, analyze, broad_pair_scan, higher_level_cut_graph
 from .models import Family, FixtureBundle, ModelSpec, expected_fixtures, parameter_names
 from .models import generate as generate_model
@@ -33,8 +36,8 @@ from .numeric import (
     enumerate_sourced_cuts,
     random_rates,
     rate_assignment,
+    relation_residuals,
     stationary,
-    verify_relation,
 )
 from .product_form import ChainKind, FormalChain, cut_graph
 
@@ -158,6 +161,16 @@ def _load(path: str) -> tuple[GraphDocument, FormalChain, RateAssignment | None]
     return doc, c, rates
 
 
+class _Shared(dict):
+    """A JSON object that several places of one payload hold; ``_json_text`` renders it once per indent."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, value: dict):
+        super().__init__(value)
+        self.texts: dict[str, str] = {}
+
+
 def _json_text(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` byte for byte, one ``str.join`` per container.
 
@@ -166,6 +179,11 @@ def _json_text(value: object, indent: str = "\n") -> str:
     prints as a plain number.
     A non-string key or a value of any other type raises ``TypeError``.
     """
+    if type(value) is _Shared:
+        text = value.texts.get(indent)
+        if text is None:
+            text = value.texts[indent] = _json_text(dict(value), indent)
+        return text
     if isinstance(value, dict):
         inner = indent + "  "
         # String items are quoted in place, which saves a call per label.
@@ -205,17 +223,59 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _names(labels: Sequence[str], nodes: Iterable[int]) -> list[str]:
+    """The sorted labels of a few node indices, such as a pair's two nodes."""
     return sorted(labels[v] for v in nodes)
+
+
+# Maps the digits "0" and "1" to the bytes 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_names(labels: Sequence[str]) -> Callable[[NodeSet], list[str]]:
+    """``_names`` of a node set, from one label order sorted for the whole report.
+
+    ``format`` writes node v's bit at position n - 1 - v, ``pick`` reads those
+    positions in label order, and ``compress`` keeps the labels whose bit is set.
+    """
+    n = len(labels)
+    order = sorted(range(n), key=labels.__getitem__)
+    ranked = [labels[v] for v in order]
+    # The extra position keeps pick's result a tuple when n is 1; compress stops before it.
+    pick = itemgetter(*(n - 1 - v for v in order), 0)
+    width = f"0{n}b"
+
+    def names(nodes: NodeSet) -> list[str]:
+        return list(compress(ranked, pick(format(nodes.mask, width).encode().translate(_BITS))))
+
+    return names
+
+
+def _share_factors(relations: list[dict]) -> list[dict]:
+    """Mark each factor object that several relations hold, so it is rendered once per indent."""
+    sides = ("lhs_factor", "rhs_factor")
+    count = Counter(id(r[side]) for r in relations for side in sides)
+    # Keyed by the id of a factor object, which the value keeps alive.
+    shared: dict[int, tuple[dict, _Shared]] = {}
+    for r in relations:
+        for side in sides:
+            factor = r[side]
+            if count[id(factor)] > 1:
+                if id(factor) not in shared:
+                    shared[id(factor)] = factor, _Shared(factor)
+                r[side] = shared[id(factor)][1]
+    return relations
 
 
 def _report_body(c: FormalChain, found: Analysis) -> dict:
     """The ``first_level`` and ``levels`` entries of the analyze report."""
     labels = c.graph.labels
+    names = _set_names(labels)
     first_count = len(found.edge_order)
+    relations = _share_factors(relations_to_json(found.relations, labels))
     first_level = {
         "edges": [_names(labels, e) for e in found.edge_order],
-        "components": [_names(labels, comp) for comp in found.c1.components],
-        "relations": [relation_to_json(r, labels) for r in found.relations[:first_count]],
+        "components": [names(comp) for comp in found.c1.components],
+        "relations": relations[:first_count],
     }
     levels = []
     for lv in found.levels:
@@ -223,19 +283,17 @@ def _report_body(c: FormalChain, found: Analysis) -> dict:
             "level": lv.level,
             "hyperedges": [
                 {
-                    "source_i": _names(labels, h.cut.source_a),
-                    "source_j": _names(labels, h.cut.source_b),
-                    "cut_a": _names(labels, h.cut.side_a),
-                    "cut_b": _names(labels, h.cut.side_b),
+                    "source_i": names(h.cut.source_a),
+                    "source_j": names(h.cut.source_b),
+                    "cut_a": names(h.cut.side_a),
+                    "cut_b": names(h.cut.side_b),
                 }
                 for h in lv.hyperedges
             ],
-            "components": [_names(labels, comp) for comp in lv.components],
+            "components": [names(comp) for comp in lv.components],
         }
         if lv.level == 2:
-            entry["relations"] = [
-                relation_to_json(r, labels) for r in found.relations[first_count:]
-            ]
+            entry["relations"] = relations[first_count:]
         levels.append(entry)
     return {"first_level": first_level, "levels": levels}
 
@@ -288,10 +346,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cut_worst = [0.0] * len(cuts)
     for _, rates in assignments:
         pi = stationary(c, rates)
-        for k, r in enumerate(relations):
-            relation_worst[k] = max(relation_worst[k], verify_relation(pi, rates, r))
+        relation_worst = list(map(max, relation_worst, relation_residuals(pi, rates, relations)))
         cut_worst = list(map(max, cut_worst, cut_residuals(pi, rates, cuts)))
     overall = max(relation_worst + cut_worst, default=0.0)
+    names = _set_names(labels)
     report = {
         "name": doc.name,
         "assignments": [name for name, _ in assignments],
@@ -307,7 +365,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ],
         "cuts": [
             {
-                "side_a": _names(labels, cut.side_a),
+                "side_a": names(cut.side_a),
                 "worst_residual": cut_worst[k],
             }
             for k, cut in enumerate(cuts)
@@ -384,6 +442,7 @@ def _random_chain(rng: random.Random, n: int) -> FormalChain:
 
 def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
     labels = c.graph.labels
+    names = _set_names(labels)
     brute = enumerate_sourced_cuts(c)
     scanned = cut_graph(c).edges
     brute_pairs = set(brute)
@@ -395,8 +454,8 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
         "cuts": [
             {
                 "pair": _names(labels, pair),
-                "side_a": _names(labels, cut.side_a),
-                "side_b": _names(labels, cut.side_b),
+                "side_a": names(cut.side_a),
+                "side_b": names(cut.side_b),
             }
             for pair, cut in sorted(brute.items(), key=lambda kv: _names(labels, kv[0]))
         ],
@@ -408,18 +467,18 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
 
 def _broad_findings(c: FormalChain) -> tuple[list[dict], list[str], list[str], list[dict]]:
     """The broad scan's pair reports, conjecture findings and skipped pairs, by label."""
-    labels = c.graph.labels
+    names = _set_names(c.graph.labels)
     found, skipped = broad_pair_scan(c)
     pair_reports: list[dict] = []
     conjecture1: list[str] = []
     conjecture2: list[str] = []
     for pair in found:
-        comp_i, comp_j = _names(labels, pair.comp_i), _names(labels, pair.comp_j)
+        comp_i, comp_j = names(pair.comp_i), names(pair.comp_j)
         pair_reports.append(
             {
                 "comp_i": comp_i,
                 "comp_j": comp_j,
-                "members": [[_names(labels, i), _names(labels, j)] for i, j in pair.members],
+                "members": [[names(i), names(j)] for i, j in pair.members],
                 "components_free": pair.components_free,
             }
         )
@@ -429,12 +488,12 @@ def _broad_findings(c: FormalChain) -> tuple[list[dict], list[str], list[str], l
                 "members exist but the full components are not free"
             )
         conjecture2.extend(
-            f"({'|'.join(_names(labels, i))}) vs ({'|'.join(_names(labels, j))}): "
+            f"({'|'.join(names(i))}) vs ({'|'.join(names(j))}): "
             "no one-node extension"
             for i, j in pair.stranded
         )
     skipped_reports = [
-        {"comp_i": _names(labels, k1), "comp_j": _names(labels, k2)} for k1, k2 in skipped
+        {"comp_i": names(k1), "comp_j": names(k2)} for k1, k2 in skipped
     ]
     return pair_reports, conjecture1, conjecture2, skipped_reports
 
@@ -545,10 +604,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     lines = [f"digraph {_dot_id(doc.name or 'chain')} {{", "  rankdir=LR;", "  node [shape=circle];"]
     if args.annotate >= 1:
         c1 = cut_graph(c)
+        names = _set_names(labels)
         for k, comp in enumerate(c1.components):
             lines.append(f"  subgraph cluster_{k} {{")
             lines.append("    style=dashed; color=gray;")
-            for lab in _names(labels, comp):
+            for lab in names(comp):
                 lines.append("    " + _dot_node(lab))
             lines.append("  }")
     else:

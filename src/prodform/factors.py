@@ -294,16 +294,33 @@ def format_factor(e: FactorExpr, labels: Sequence[str]) -> str:
 
 
 def relation_to_json(r: Relation, labels: Sequence[str]) -> dict:
-    stats_l = circuit_stats(r.lhs_factor)
-    stats_r = circuit_stats(r.rhs_factor)
-    return {
-        "lhs": labels[r.lhs_node],
-        "rhs": labels[r.rhs_node],
-        "level": r.level.name,
-        "lhs_factor": factor_to_json(r.lhs_factor, labels),
-        "rhs_factor": factor_to_json(r.rhs_factor, labels),
-        "circuit": {
-            "depth": max(stats_l.depth, stats_r.depth),
-            "size": stats_l.size + stats_r.size,
-        },
-    }
+    return relations_to_json([r], labels)[0]
+
+
+def relations_to_json(relations: Sequence[Relation], labels: Sequence[str]) -> list[dict]:
+    """``relation_to_json`` of each relation, formatting each distinct factor once.
+
+    Factors are told apart by identity: relations that hold the same factor
+    object get the same JSON dict for it, built and measured once.
+    """
+    done: dict[int, tuple[dict, CircuitStats]] = {}
+    for r in relations:
+        for e in (r.lhs_factor, r.rhs_factor):
+            if id(e) not in done:
+                done[id(e)] = factor_to_json(e, labels), circuit_stats(e)
+    out = []
+    for r in relations:
+        json_l, stats_l = done[id(r.lhs_factor)]
+        json_r, stats_r = done[id(r.rhs_factor)]
+        out.append({
+            "lhs": labels[r.lhs_node],
+            "rhs": labels[r.rhs_node],
+            "level": r.level.name,
+            "lhs_factor": json_l,
+            "rhs_factor": json_r,
+            "circuit": {
+                "depth": max(stats_l.depth, stats_r.depth),
+                "size": stats_l.size + stats_r.size,
+            },
+        })
+    return out

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .factors import FactorExpr, Relation, make_relation, product_of, sum_of
+from .factors import LEVEL_S, FactorExpr, Relation, SumExpr, make_relation, product_of, sum_of
 from .graph_core import NodeSet, _bfs_levels, _components, _descend
 from .product_form import (
     Cut,
@@ -136,6 +136,19 @@ def higher_level_cut_graph(
 
 # The factor pair of each ordered first-level edge (a, b): (f_ab, f_ba).
 _HopFactors = dict[tuple[int, int], tuple[FactorExpr, FactorExpr]]
+# Each crossing sum built so far, keyed by its node and the mask of that node's
+# out-neighbours it sums over: relations that need the same sum share one object.
+_Sums = dict[tuple[int, int], SumExpr]
+
+
+def _shared_sum(c: FormalChain, sums: _Sums, node: int, side_a: int, into_a: bool) -> SumExpr:
+    """``_crossing_sum(c, node, side_a, into_a)``, built once per key of ``sums``."""
+    out = c.graph.out_mask[node]
+    key = node, out & side_a if into_a else out & ~side_a
+    found = sums.get(key)
+    if found is None:
+        found = sums[key] = _crossing_sum(c, node, side_a, into_a)
+    return found
 
 
 def _hop_factors(relations: Sequence[Relation]) -> _HopFactors:
@@ -151,6 +164,7 @@ def _side_factor(
     c: FormalChain,
     adj: list[list[int]],
     hops: _HopFactors,
+    sums: _Sums,
     star: int,
     sources: NodeSet,
     side_a: int,
@@ -161,12 +175,12 @@ def _side_factor(
     The sources' edges cross into side A (mask ``side_a``) when ``into_a``,
     else out of it. Each source's weight is carried to ``star`` along a
     shortest first-level path, stepping to the smallest neighbor one level
-    closer to ``star``.
+    closer to ``star``. A side whose only source is ``star`` is its crossing sum itself.
     """
     dist = _bfs_levels(adj, star)
     terms: list[FactorExpr] = []
     for node in sorted(sources):
-        crossing = _crossing_sum(c, node, side_a, into_a)
+        crossing = _shared_sum(c, sums, node, side_a, into_a)
         if node == star:
             terms.append(crossing)
             continue
@@ -178,18 +192,20 @@ def _side_factor(
             [(fwd, 1) for fwd, _ in pairs] + [(bwd, -1) for _, bwd in pairs] + [(crossing, 1)]
         )
         terms.append(term)
+    if len(terms) == 1 and isinstance(terms[0], SumExpr):
+        return terms[0]
     return sum_of(terms)
 
 
 def _sps_relation(
-    c: FormalChain, h: HyperEdge, i_star: int, j_star: int, hops: _HopFactors
+    c: FormalChain, h: HyperEdge, i_star: int, j_star: int, hops: _HopFactors, sums: _Sums
 ) -> Relation:
     adj: list[list[int]] = [[] for _ in range(c.graph.n)]
     for a, b in hops:
         adj[a].append(b)
     side_a = h.cut.side_a.mask
-    lhs = _side_factor(c, adj, hops, i_star, h.cut.source_a, side_a, False)
-    rhs = _side_factor(c, adj, hops, j_star, h.cut.source_b, side_a, True)
+    lhs = _side_factor(c, adj, hops, sums, i_star, h.cut.source_a, side_a, False)
+    rhs = _side_factor(c, adj, hops, sums, j_star, h.cut.source_b, side_a, True)
     return make_relation(i_star, j_star, lhs, rhs)
 
 
@@ -222,7 +238,7 @@ def sps_relation(
     # First-level paths stay inside their component, so only these two need factors.
     linked = comps[h.comp_i] | comps[h.comp_j]
     hops = _hop_factors([s_relation(c, a, b) for a, b in c1.edges if a in linked])
-    return _sps_relation(c, h, i_star, j_star, hops)
+    return _sps_relation(c, h, i_star, j_star, hops, {})
 
 
 # ---- the analysis pipeline ----
@@ -250,7 +266,9 @@ def analyze(c: FormalChain, max_level: int) -> Analysis:
     One level loop runs from level 1, the all-singletons partition: its
     hyperedges are the cut-graph edges, each with its sourced cut read from
     the lane scan. The level-2 relations take their per-hop factors from the
-    first-level relations.
+    first-level relations. Every relation that needs the same crossing sum
+    holds the same object, so there are at most as many distinct S factors
+    as (node, crossing out-neighbours) pairs.
     """
     if max_level < 1:
         raise InvalidArgumentError(f"max_level must be at least 1, got {max_level}")
@@ -270,12 +288,20 @@ def analyze(c: FormalChain, max_level: int) -> Analysis:
     )
     edge_order = [(h.comp_i, h.comp_j) for h in ordered]
     cuts = [h.cut for h in ordered]
-    relations = [s_relation(c, a, b, cut) for (a, b), cut in zip(edge_order, cuts)]
+    sums: _Sums = {}
+    relations = []
+    # Each is s_relation(c, a, b, cut): a < b, as level 1 scans the singletons
+    # in index order, and both sides are sums of atoms, so the rank is S.
+    for (a, b), cut in zip(edge_order, cuts):
+        side_a = cut.side_a.mask
+        f_ab = _shared_sum(c, sums, a, side_a, False)
+        relations.append(Relation(a, b, f_ab, _shared_sum(c, sums, b, side_a, True), LEVEL_S))
     if levels:
         hops = _hop_factors(relations)
         second = levels[0].hyperedges
         relations.extend(
-            _sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), hops) for h in second
+            _sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), hops, sums)
+            for h in second
         )
         cuts.extend(h.cut for h in second)
     return Analysis(c1, edge_order, levels, relations, cuts)

@@ -150,9 +150,29 @@ def stationary(c: FormalChain, rates: RateAssignment) -> StationaryMeasure:
 
 def verify_relation(pi: StationaryMeasure, rates: RateAssignment, r: Relation) -> float:
     """Relative residual of pi[lhs] * lhs_factor = pi[rhs] * rhs_factor under the rates."""
-    lhs = pi[r.lhs_node] * evaluate(r.lhs_factor, rates.values)
-    rhs = pi[r.rhs_node] * evaluate(r.rhs_factor, rates.values)
-    return abs(lhs - rhs) / (lhs + rhs)
+    return relation_residuals(pi, rates, [r])[0]
+
+
+def relation_residuals(
+    pi: StationaryMeasure, rates: RateAssignment, relations: Sequence[Relation]
+) -> list[float]:
+    """``verify_relation`` of each relation, evaluating each distinct factor once.
+
+    Factors are told apart by identity, so relations that hold the same factor
+    object share one evaluation. Factors are evaluated in the order the
+    relations list them, so the first factor that fails raises.
+    """
+    values: dict[int, float] = {}
+    for r in relations:
+        for e in (r.lhs_factor, r.rhs_factor):
+            if id(e) not in values:
+                values[id(e)] = evaluate(e, rates.values)
+    residuals = []
+    for r in relations:
+        lhs = pi[r.lhs_node] * values[id(r.lhs_factor)]
+        rhs = pi[r.rhs_node] * values[id(r.rhs_factor)]
+        residuals.append(abs(lhs - rhs) / (lhs + rhs))
+    return residuals
 
 
 def cut_residuals(

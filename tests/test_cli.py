@@ -18,10 +18,9 @@ from prodform import (
     cli,
     random_rates,
     stationary,
-    verify_relation,
 )
 
-from util import reference_cut_residual
+from util import reference_cut_residual, reference_relation_residual
 
 # ---- helpers ----
 
@@ -244,6 +243,21 @@ def test_verify_fault_injection_is_detected(tmp_path):
     assert report["max_residual"] > 1e-3
 
 
+@pytest.mark.parametrize("k", [0, 1, 17, 65])
+def test_verify_fault_flags_only_the_faulted_relation_when_factors_are_shared(tmp_path, k: int):
+    # On a one-way cycle every relation shares both its factors with other relations.
+    path = _generate(tmp_path, "oneway", "--n", "12")
+    out = str(tmp_path / "fault.json")
+    code = cli.main(["verify", path, "--seeds", "3", "--fault", str(k), "--out", out])
+    assert code == cli.EXIT_FAILURE
+    report = _read_json(out)
+    residuals = [r["worst_residual"] for r in report["relations"]]
+    assert len(residuals) == 66
+    assert report["fault"] == f"{report['relations'][k]['lhs']}~{report['relations'][k]['rhs']}"
+    assert residuals[k] > report["tolerance"]
+    assert all(r <= report["tolerance"] for j, r in enumerate(residuals) if j != k)
+
+
 def test_verify_fault_passes_when_the_swapped_factors_are_equal(tmp_path):
     # With every rate 1.0 the faulted relation pi0*q(1,0) = pi1*q(0,1) still holds.
     doc = tmp_path / "uniform.json"
@@ -375,7 +389,7 @@ def test_verify_report_residuals_equal_the_reference_loop(tmp_path, family: str)
             rates = random_rates(c, seed)
             pi = stationary(c, rates)
             for k, r in enumerate(relations):
-                relation_worst[k] = max(relation_worst[k], verify_relation(pi, rates, r))
+                relation_worst[k] = max(relation_worst[k], reference_relation_residual(pi, rates, r))
             for k, cut in enumerate(found.cuts):
                 cut_worst[k] = max(cut_worst[k], reference_cut_residual(pi, rates, cut))
         assert [entry["worst_residual"] for entry in report["relations"]] == relation_worst

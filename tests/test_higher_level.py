@@ -27,6 +27,7 @@ from prodform import (
     sps_relation,
 )
 from prodform import cli, higher_level
+from prodform.factors import ProductExpr
 from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
 from prodform.numeric import random_rates, stationary, verify_relation
 from prodform.product_form import _sources
@@ -493,6 +494,39 @@ def test_analyze_first_level_matches_the_closures_on_random_chains():
     for k in range(1000):
         edges += _assert_first_level_matches_the_closures(_random_chain(rng, k))
     assert edges > 1000
+
+
+# ---- shared factors ----
+
+
+def test_analyze_builds_one_factor_per_node_of_a_one_way_cycle():
+    # Node i's only crossing edge is (i, i+1), whichever pair's cut it crosses.
+    c = generate(ModelSpec(Family.ONE_WAY_CYCLE, {"n": 60}))
+    found = analyze(c, 2)
+    assert len(found.relations) == 60 * 59 // 2
+    factors = {id(f) for r in found.relations for f in (r.lhs_factor, r.rhs_factor)}
+    assert len(factors) == 60
+    for (a, b), relation in zip(found.edge_order, found.relations):
+        assert relation == s_relation(c, a, b)
+
+
+def test_analyze_second_level_relations_equal_sps_relation():
+    c = generate(ModelSpec(Family.BATCH_V1))
+    found = analyze(c, 2)
+    c1 = cut_graph(c)
+    second = found.relations[len(found.edge_order):]
+    hyperedges = found.levels[0].hyperedges
+    assert len(second) == len(hyperedges) == 5
+    for h, relation in zip(hyperedges, second):
+        assert relation == sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), c1)
+    # Each hop of a level-2 term is a first-level factor object; the last factor is the crossing sum.
+    first = {id(f) for r in found.relations[: len(found.edge_order)] for f in (r.lhs_factor, r.rhs_factor)}
+    products = [
+        t for r in second for side in (r.lhs_factor, r.rhs_factor) for t in side.terms
+        if isinstance(t, ProductExpr)
+    ]
+    assert products
+    assert all(id(f) in first for p in products for f, _ in p.factors[:-1])
 
 
 # ---- serialization ----

@@ -9,7 +9,7 @@ from functools import cache
 from pathlib import Path
 
 from prodform.errors import InvalidArgumentError
-from prodform.factors import FactorExpr, RateAtom, SumExpr
+from prodform.factors import FactorExpr, RateAtom, Relation, SumExpr, evaluate
 from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
 from prodform.numeric import RateAssignment, StationaryMeasure
 from prodform.product_form import Cut, FormalChain
@@ -251,6 +251,13 @@ def brute_sourced_cuts(g: DirectedGraph) -> dict[tuple[int, int], list[tuple[set
             i, j = next(iter(src_a)), next(iter(src_b))
             found.setdefault((i, j), []).append((side_a, set(range(g.n)) - side_a))
     return found
+
+
+def reference_relation_residual(pi: StationaryMeasure, rates: RateAssignment, r: Relation) -> float:
+    """Relative residual of one relation, each of its factors evaluated on its own."""
+    lhs = pi[r.lhs_node] * evaluate(r.lhs_factor, rates.values)
+    rhs = pi[r.rhs_node] * evaluate(r.rhs_factor, rates.values)
+    return abs(lhs - rhs) / (lhs + rhs)
 
 
 def reference_cut_residual(pi: StationaryMeasure, rates: RateAssignment, cut: Cut) -> float:
