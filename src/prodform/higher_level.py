@@ -67,22 +67,39 @@ class CutHypergraph:
 # ---- discovery ----
 
 
+# ``_BIT_DIGITS[b]`` maps each byte to the ASCII digit of its bit b.
+_BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
+
+
 def _scan_pairs(c: FormalChain, comps: Sequence[int], settled: set[int]) -> tuple[HyperEdge, ...]:
     """Hyperedges between the pairs of a mask partition, skipping pairs of two ``settled`` masks.
 
-    A free lane's sources are read from its own two components, where
-    ``_free_lanes`` shows they lie.
+    A pass's sides are read as byte columns of its lane states. Each state,
+    shifted down to the pass's lowest free lane and cut to its free lanes, is
+    one little-endian row of a byte matrix; a free lane's side is the strided
+    column of its byte, turned into binary digits by ``bytes.translate`` and
+    into a mask by ``int(digits, 2)``. So each side costs a fixed number of
+    steps that run in C over n bytes, not a Python walk over n states. Passes
+    with no free lane build no matrix. A free lane's sources are read from
+    its own two components, where ``_free_lanes`` shows they lie.
     """
     g = c.graph
     n = g.n
     full = (1 << n) - 1
     edges = []
     for p, _, free, state in _free_lanes(g, comps, settled):
+        if not free:
+            continue
+        low = (free & -free).bit_length() - 1
+        width = (free.bit_length() - low + 7) >> 3
+        rows = b"".join([((s & free) >> low).to_bytes(width, "little") for s in state])
         while free:
             lane = free & -free
             free ^= lane
             q = lane.bit_length() - 1
-            side_a = sum(1 << v for v, s in enumerate(state) if s & lane)
+            k = q - low
+            # Digit v is node v's bit, so reversed, node 0 is the lowest bit.
+            side_a = int(rows[k >> 3 :: width].translate(_BIT_DIGITS[k & 7])[::-1], 2)
             source_a = NodeSet(_leaving(g, comps[p], full ^ side_a), n)
             source_b = NodeSet(_leaving(g, comps[q], side_a), n)
             cut = Cut(NodeSet(side_a, n), source_a, source_b)
@@ -151,13 +168,16 @@ def _shared_sum(c: FormalChain, sums: _Sums, node: int, side_a: int, into_a: boo
     return found
 
 
-def _hop_factors(relations: Sequence[Relation]) -> _HopFactors:
-    """Both orientations of every first-level relation's factor pair."""
+def _hop_factors(n: int, relations: Sequence[Relation]) -> tuple[_HopFactors, list[list[int]]]:
+    """Both orientations of every first-level relation's factor pair, and their adjacency lists."""
     hops: _HopFactors = {}
     for r in relations:
         hops[r.lhs_node, r.rhs_node] = (r.lhs_factor, r.rhs_factor)
         hops[r.rhs_node, r.lhs_node] = (r.rhs_factor, r.lhs_factor)
-    return hops
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in hops:
+        adj[a].append(b)
+    return hops, adj
 
 
 def _side_factor(
@@ -198,11 +218,14 @@ def _side_factor(
 
 
 def _sps_relation(
-    c: FormalChain, h: HyperEdge, i_star: int, j_star: int, hops: _HopFactors, sums: _Sums
+    c: FormalChain,
+    h: HyperEdge,
+    i_star: int,
+    j_star: int,
+    hops: _HopFactors,
+    adj: list[list[int]],
+    sums: _Sums,
 ) -> Relation:
-    adj: list[list[int]] = [[] for _ in range(c.graph.n)]
-    for a, b in hops:
-        adj[a].append(b)
     side_a = h.cut.side_a.mask
     lhs = _side_factor(c, adj, hops, sums, i_star, h.cut.source_a, side_a, False)
     rhs = _side_factor(c, adj, hops, sums, j_star, h.cut.source_b, side_a, True)
@@ -237,8 +260,8 @@ def sps_relation(
         )
     # First-level paths stay inside their component, so only these two need factors.
     linked = comps[h.comp_i] | comps[h.comp_j]
-    hops = _hop_factors([s_relation(c, a, b) for a, b in c1.edges if a in linked])
-    return _sps_relation(c, h, i_star, j_star, hops, {})
+    hops, adj = _hop_factors(c.graph.n, [s_relation(c, a, b) for a, b in c1.edges if a in linked])
+    return _sps_relation(c, h, i_star, j_star, hops, adj, {})
 
 
 # ---- the analysis pipeline ----
@@ -297,10 +320,10 @@ def analyze(c: FormalChain, max_level: int) -> Analysis:
         f_ab = _shared_sum(c, sums, a, side_a, False)
         relations.append(Relation(a, b, f_ab, _shared_sum(c, sums, b, side_a, True), LEVEL_S))
     if levels:
-        hops = _hop_factors(relations)
+        hops, adj = _hop_factors(g.n, relations)
         second = levels[0].hyperedges
         relations.extend(
-            _sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), hops, sums)
+            _sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), hops, adj, sums)
             for h in second
         )
         cuts.extend(h.cut for h in second)

@@ -31,6 +31,18 @@ FAMILY_DIGESTS = {
     "twoway": "373c41b9c2d5fe9a124445a22f7921d41789759db621e1df0dc12dcfab8fba99",
 }
 
+# Larger sizes whose lanes run past the first byte: oneway n = 70 spans 9
+# bytes of lanes, qbd 16x5 (80 nodes) 10. Recorded before cut sides were read
+# as byte columns of the lane states.
+SIZED = {
+    "oneway-70": ("oneway", "--n", "70"),
+    "qbd-16x5": ("qbd", "--blocks", "16", "--blocksize", "5"),
+}
+SIZED_DIGESTS = {
+    "oneway-70": "91bd5f1afd21c7af525dd65e1b1ab4adbdc2f3c8d18d0d90fb48bb50caec82fa",
+    "qbd-16x5": "30b05f548aea93a5e4871122cedc580ffad7e3e39e7691cbacf01440ecdc6774",
+}
+
 # random_strongly_connected(random.Random(seed), 6..10 nodes), named random-<seed>.
 RANDOM_DIGESTS = [
     "848989546c8876f9d37f9b7041ad8929efb7837736e509fd7651eff0bba08367",
@@ -59,6 +71,13 @@ def test_family_analyze_bytes(family: str, tmp_path, capsys):
     path = str(tmp_path / f"{family}.json")
     assert cli.main(["generate", family, "--out", path]) == cli.EXIT_OK
     assert _analyze_digest(path, capsys) == FAMILY_DIGESTS[family]
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_sized_chain_analyze_bytes(name: str, tmp_path, capsys):
+    path = str(tmp_path / f"{name}.json")
+    assert cli.main(["generate", *SIZED[name], "--out", path]) == cli.EXIT_OK
+    assert _analyze_digest(path, capsys) == SIZED_DIGESTS[name]
 
 
 @pytest.mark.parametrize("seed", range(len(RANDOM_DIGESTS)))

@@ -386,6 +386,27 @@ def test_recursion_matches_full_rescan_on_families(spec):
     assert _recursion_as_sets(c, 8) == _full_rescan(c, 8)
 
 
+def _assert_lanes_hold_the_closures(c: FormalChain, comps: list[NodeSet]) -> dict:
+    """Check every lane of a scan over ``comps``; return its hyperedges by component pair."""
+    masks = [k.mask for k in comps]
+    edges = {(h.comp_i, h.comp_j): h for h in higher_level._scan_pairs(c, masks, set())}
+    # Sources read from the pair's two components equal those of the whole sides.
+    for h in edges.values():
+        whole = _sources(c.graph, h.cut.side_a.mask, h.cut.side_b.mask)
+        assert (h.cut.source_a.mask, h.cut.source_b.mask) == whole
+    # Every lane, free or not, holds its avoiding-ancestor set and its verdict.
+    for p, lanes, lane_free, state in higher_level._free_lanes(c.graph, masks):
+        for q in range(p + 1, len(comps)):
+            assert lanes >> q & 1
+            side = ancestors_avoiding(c.graph, comps[p], comps[q])
+            assert {v for v, s in enumerate(state) if s >> q & 1} == set(side)
+            jaf = is_jaf(c, comps[p], comps[q])
+            assert bool(lane_free >> q & 1) == jaf == ((p, q) in edges)
+            if jaf:
+                assert edges[p, q].cut.side_a == side
+    return edges
+
+
 def test_one_closure_freeness_agrees_with_is_jaf():
     # The lane scan over (K1, K2, the leftover nodes) decides the pair (K1, K2);
     # its free verdict must be joint-ancestor freeness, its cut the two closures.
@@ -401,31 +422,47 @@ def test_one_closure_freeness_agrees_with_is_jaf():
         second = rng.sample(nodes[cut:], rng.randint(1, n - cut))
         k1, k2 = NodeSet.of(first, n), NodeSet.of(second, n)
         rest = (k1 | k2).complement()
-        comps = (k1, k2, rest) if rest else (k1, k2)
-        masks = [k.mask for k in comps]
-        edges = {(h.comp_i, h.comp_j): h for h in higher_level._scan_pairs(c, masks, set())}
-        # Sources read from the pair's two components equal those of the whole sides.
-        for h in edges.values():
-            whole = _sources(c.graph, h.cut.side_a.mask, h.cut.side_b.mask)
-            assert (h.cut.source_a.mask, h.cut.source_b.mask) == whole
+        edges = _assert_lanes_hold_the_closures(c, [k1, k2, rest] if rest else [k1, k2])
         edge = edges.get((0, 1))
         free = is_jaf(c, k1, k2)
         assert (edge is not None) == free
         if free:
             assert edge.cut.side_b == ancestors_avoiding(c.graph, k2, k1)
             assert edge.cut.side_a == ancestors_avoiding(c.graph, k1, k2)
-        # Every lane, free or not, holds its avoiding-ancestor set and its verdict.
-        for p, lanes, lane_free, state in higher_level._free_lanes(c.graph, masks):
-            for q in range(p + 1, len(comps)):
-                assert lanes >> q & 1
-                side = ancestors_avoiding(c.graph, comps[p], comps[q])
-                assert {v for v, s in enumerate(state) if s >> q & 1} == set(side)
-                jaf = is_jaf(c, comps[p], comps[q])
-                assert bool(lane_free >> q & 1) == jaf == ((p, q) in edges)
-                if jaf:
-                    assert edges[p, q].cut.side_a == side
         verdicts.add(free)
     assert verdicts == {True, False}
+
+
+def test_lanes_past_the_first_byte_hold_the_closures():
+    # The side read packs a pass's lanes into bytes from its lowest free lane,
+    # so partitions of more than eight parts reach later bytes and unaligned starts.
+    rng = random.Random(6606)
+    partitions = []
+    for k in range(60):
+        n = rng.randint(9, 40)
+        if k % 2:
+            c = FormalChain(random_strongly_connected(rng, n, rng.uniform(0.0, 0.4)))
+        else:
+            c = _random_edge_chain(rng, n)
+        partitions.append((c, [NodeSet(1 << v, n) for v in range(n)]))
+    for spec in (
+        ModelSpec(Family.BATCH_V1, {"multiple": 3, "truncation": 40}),
+        ModelSpec(Family.BATCH_V2, {"truncation": 40}),
+    ):
+        c = generate(spec)
+        # The partitions levels 2 and 3 scan; batchv1's level 3 has one part.
+        for level in higher_level._climb(c, [1 << v for v in range(c.graph.n)], set(), 1, 2):
+            partitions.append((c, list(level.components)))
+    lanes = []
+    for c, comps in partitions:
+        edges = _assert_lanes_hold_the_closures(c, comps)
+        low: dict[int, int] = {}
+        for p, q in edges:
+            low[p] = min(low.get(p, q), q)
+        lanes += [(low[p], q) for p, q in edges]
+    # Some free lane lies past the first byte of a pass whose lowest free lane is off a byte boundary.
+    assert any(low % 8 and q - low >= 8 for low, q in lanes)
+    assert sum(q >= 8 for _, q in lanes) > 150
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,12 @@
 
 Three runs are pinned per chain: ``--seeds 3``, ``--seeds 1 --fault`` and
 ``--seeds 2 --fault 7``. The chains are every family at its default size and
-the eight seeded random chains of ``test_analyze_bytes.py``. The digests were
-recorded before relations shared their factors. Any change to what ``verify``
-prints, down to key order, float digits and whitespace, changes a digest. A
-deliberate change of the report must record new digests and say why.
+the eight seeded random chains of ``test_analyze_bytes.py``, and its two
+larger ``SIZED`` chains. The digests were recorded before relations shared
+their factors, the ``SIZED`` ones before cut sides were read as byte columns.
+Any change to what ``verify`` prints, down to key order, float digits and
+whitespace, changes a digest. A deliberate change of the report must record
+new digests and say why.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import pytest
 from prodform import Family, FormalChain, cli
 
 from util import random_strongly_connected
+from test_analyze_bytes import SIZED
 
 RUNS = {
     "seeds3": ("--seeds", "3"),
@@ -82,6 +85,16 @@ DIGESTS: dict[str, dict[str, tuple[int, str]]] = {
         "fault": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "fault7": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "seeds3": (0, "b1f8a4e4793174b6c2ba24d13048f49e7d0897ec03ece85930214a3a4eba78f1"),
+    },
+    "oneway-70": {
+        "fault": (1, "3072fa6dc108ce5b04210fe0d149400b6b499ca321f22cb716ef62b528c8d70e"),
+        "fault7": (1, "ef37678d8839cbdf0417b08bb5ef0642eeef86d32e6f965c1684fc427e1d5976"),
+        "seeds3": (0, "44d76e2e17002da973400631f2702fe67678afae30ddc82e44b573f4b947d9ae"),
+    },
+    "qbd-16x5": {
+        "fault": (1, "1d15b38a92dfe543e18063083ec0f5a3b305a55dbf656cce0cb93473f5cc1c20"),
+        "fault7": (1, "82ea0905a3e97c931ac9842bc007443084437266944cfd5c734a60628e532885"),
+        "seeds3": (0, "557410ef5edf1d8e295342d3075d7b02b19f4f713ec4eef2b2d8c622b37eb602"),
     },
     "random-0": {
         "fault": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -152,7 +165,8 @@ RANDOM_SEEDS = range(8)
 
 
 def test_every_family_and_run_is_pinned():
-    assert sorted(DIGESTS) == sorted(FAMILIES + [f"random-{s}" for s in RANDOM_SEEDS])
+    expected = FAMILIES + list(SIZED) + [f"random-{s}" for s in RANDOM_SEEDS]
+    assert sorted(DIGESTS) == sorted(expected)
     assert all(sorted(runs) == sorted(RUNS) for runs in DIGESTS.values())
 
 
@@ -160,6 +174,14 @@ def test_every_family_and_run_is_pinned():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_verify_bytes(family: str, run: str, tmp_path, capsys):
     assert _verify(_family_path(family, tmp_path), run, capsys) == DIGESTS[family][run]
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_sized_chain_verify_bytes(name: str, run: str, tmp_path, capsys):
+    path = str(tmp_path / f"{name}.json")
+    assert cli.main(["generate", *SIZED[name], "--out", path]) == cli.EXIT_OK
+    assert _verify(path, run, capsys) == DIGESTS[name][run]
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
