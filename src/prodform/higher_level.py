@@ -10,6 +10,7 @@ level.
 One lane scan (``product_form._free_lanes``, which also gives the
 correctness argument) decides every component pair of a level at once, and
 the avoiding-ancestor sides it leaves behind are the cuts of the free pairs.
+Level 1 runs it once per biconnected block (``product_form._free_pairs``).
 One level loop, ``_climb``, runs every level; it skips pairs whose answer is
 already known, and says which and why that is exact.
 
@@ -30,6 +31,8 @@ from .product_form import (
     FormalChain,
     _crossing_sum,
     _free_lanes,
+    _free_pairs,
+    _lane_sides,
     _leaving,
     cut_graph,
     is_jaf,
@@ -67,43 +70,33 @@ class CutHypergraph:
 # ---- discovery ----
 
 
-# ``_BIT_DIGITS[b]`` maps each byte to the ASCII digit of its bit b.
-_BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
-
-
 def _scan_pairs(c: FormalChain, comps: Sequence[int], settled: set[int]) -> tuple[HyperEdge, ...]:
     """Hyperedges between the pairs of a mask partition, skipping pairs of two ``settled`` masks.
 
-    A pass's sides are read as byte columns of its lane states. Each state,
-    shifted down to the pass's lowest free lane and cut to its free lanes, is
-    one little-endian row of a byte matrix; a free lane's side is the strided
-    column of its byte, turned into binary digits by ``bytes.translate`` and
-    into a mask by ``int(digits, 2)``. So each side costs a fixed number of
-    steps that run in C over n bytes, not a Python walk over n states. Passes
-    with no free lane build no matrix. A free lane's sources are read from
-    its own two components, where ``_free_lanes`` shows they lie.
+    A free lane's sources are read from its own two components, where
+    ``_free_lanes`` shows they lie.
     """
     g = c.graph
     n = g.n
     full = (1 << n) - 1
     edges = []
-    for p, _, free, state in _free_lanes(g, comps, settled):
-        if not free:
-            continue
-        low = (free & -free).bit_length() - 1
-        width = (free.bit_length() - low + 7) >> 3
-        rows = b"".join([((s & free) >> low).to_bytes(width, "little") for s in state])
-        while free:
-            lane = free & -free
-            free ^= lane
-            q = lane.bit_length() - 1
-            k = q - low
-            # Digit v is node v's bit, so reversed, node 0 is the lowest bit.
-            side_a = int(rows[k >> 3 :: width].translate(_BIT_DIGITS[k & 7])[::-1], 2)
+    for p, _, free, state in _free_lanes(g.in_adj, g.out_adj, comps, settled):
+        for q, side_a in _lane_sides(state, free):
             source_a = NodeSet(_leaving(g, comps[p], full ^ side_a), n)
             source_b = NodeSet(_leaving(g, comps[q], side_a), n)
             cut = Cut(NodeSet(side_a, n), source_a, source_b)
             edges.append(HyperEdge(p, q, cut))
+    return tuple(edges)
+
+
+def _first_level(c: FormalChain) -> tuple[HyperEdge, ...]:
+    """The hyperedges of the all-singletons partition, each sourced at its pair (``_free_pairs``)."""
+    n = c.graph.n
+    edges = []
+    for i, _, sides in _free_pairs(c.graph):
+        source_a = NodeSet(1 << i, n)
+        for j, side_a in sides:
+            edges.append(HyperEdge(i, j, Cut(NodeSet(side_a, n), source_a, NodeSet(1 << j, n))))
     return tuple(edges)
 
 
@@ -112,18 +105,20 @@ def _climb(
 ) -> list[CutHypergraph]:
     """Scan, merge and rescan from level ``first`` up to ``max_level``.
 
-    ``comps`` is level ``first``'s partition as masks. Every level settles the
-    components the level before it scanned (``settled`` for level ``first``):
-    a pair of two of them was found not free there, or it would have merged,
-    so skipping it drops no hyperedge and the output equals a full rescan of
-    every pair. Stops at the first level that finds no hyperedge or leaves
-    one component; levels that find nothing are not reported.
+    ``comps`` is level ``first``'s partition as masks. Level 1 is the
+    all-singletons partition with nothing settled, decided block by block by
+    ``_free_pairs``. Every level settles the components the level before it
+    scanned (``settled`` for level ``first``): a pair of two of them was found
+    not free there, or it would have merged, so skipping it drops no
+    hyperedge and the output equals a full rescan of every pair. Stops at the
+    first level that finds no hyperedge or leaves one component; levels that
+    find nothing are not reported.
     """
     levels: list[CutHypergraph] = []
     for level in range(first, max_level + 1):
         if len(comps) <= 1:
             break
-        edges = _scan_pairs(c, comps, settled)
+        edges = _first_level(c) if level == 1 else _scan_pairs(c, comps, settled)
         if not edges:
             break
         settled = set(comps)

@@ -5,11 +5,38 @@ A *cut* is a bipartition (A, B) of the nodes; its *sources* are the nodes of A
 with an edge into B and vice versa. Two nodes i, j are in a width-level
 product-form relationship exactly when the cut sourced at ({i}, {j}) exists,
 which happens exactly when their mutually avoiding ancestor sets are disjoint.
+
+Level 1 is decided per block (biconnected component) of the undirected graph
+under the chain, by this lemma. Let p, q be two nodes of a strongly connected
+chain. Then {p, q} is free exactly when no part (connected component) of the
+undirected graph without p and q has edges into both p and q. Proof: a path
+from a part leaves it first into p or q, so a part with edges into p alone
+holds no node that reaches q while avoiding p, and p and q are no joint
+ancestors; so the pair is free. Conversely, if it is free, its cut (A, V - A)
+has sources exactly p and q (see ``_free_lanes``). So no edge joins A - p and
+V - A - q, every part lies on one side, and an edge from a part inside A - p
+into q would make a second source of A.
+
+Three facts follow. (1) Each block is strongly connected: every edge lies on
+a directed cycle, and a cycle lies inside one block. (2) A free pair lies in
+one block: otherwise an articulation point a, not p or q, separates them.
+After its last visit to a, a path from a to p stays in the part of the
+graph without a that holds p, which misses q; so a reaches p while avoiding
+q, and q while avoiding p alike. (3) For p, q in block B, every node x
+outside B hangs off one articulation point w of B: every path between x and
+B passes w. A path that leaves B returns through the node it left by, so
+avoiding-ancestor sets inside B are those of the induced subgraph G[B]; and
+x reaches p or q first exactly when w does (w is p or q itself, or holds
+that verdict). So the pair is free in G exactly when it is free in G[B],
+and its side A in G is its side in G[B] plus all that hangs off the
+articulation points on that side. Blocks cost O(|V| + |E|) to find (Hopcroft
+& Tarjan 1973), so level 1 costs the sum of |B| |E_B| over blocks rather
+than |V| |E|.
 """
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NotStronglyConnectedError
@@ -17,6 +44,7 @@ from .factors import FactorExpr, Relation, SumExpr, RateAtom, make_relation, pro
 from .graph_core import (
     DirectedGraph,
     NodeSet,
+    _blocks,
     _closure,
     _components,
     ancestors_avoiding,
@@ -224,14 +252,18 @@ def compose_ps(path: Sequence[int], chain: FormalChain) -> Relation:
 
 
 def _free_lanes(
-    g: DirectedGraph, comps: Sequence[int], settled: Collection[int] = ()
+    in_adj: Sequence[Sequence[int]],
+    out_adj: Sequence[Sequence[int]],
+    comps: Sequence[int],
+    settled: Collection[int] = (),
 ) -> Iterator[tuple[int, int, int, list[int]]]:
     """Decide every pair of a node partition in one worklist pass per first component.
 
-    ``comps`` is a partition of V as masks. For each component ``p`` this
-    yields ``(p, lanes, free, state)``. Bit ``q`` of ``lanes`` is set for every
-    later component ``q`` unless both masks are in ``settled``; each such
-    "lane" decides the pair (p, q). Bit ``q`` of ``state[v]`` holds exactly when
+    The graph is given by its adjacency lists, so a block's induced subgraph
+    needs no ``DirectedGraph``. ``comps`` is a partition of its nodes as
+    masks. For each component ``p`` this yields ``(p, lanes, free, state)``.
+    Bit ``q`` of ``lanes`` is set for every later component ``q`` unless both
+    masks are in ``settled``; each such "lane" decides the pair (p, q). Bit ``q`` of ``state[v]`` holds exactly when
     v is in ``ancestors_avoiding(K_p, K_q)``, and bit ``q`` of ``free`` says
     whether the pair is joint-ancestor free. A ``p`` without lanes is skipped.
 
@@ -251,9 +283,7 @@ def _free_lanes(
     A would reach K_p while avoiding K_q, so it would be in A. A node
     outside K_p spoils every lane it holds that one of its successors lacks.
     """
-    n = g.n
-    in_adj = g.in_adj
-    out_adj = g.out_adj
+    n = len(in_adj)
     comp_of = [0] * n
     for q, mask in enumerate(comps):
         for v in NodeSet(mask, n):
@@ -296,25 +326,100 @@ def _free_lanes(
         yield p, lanes, lanes & ~bad, state
 
 
+# ``_BIT_DIGITS[b]`` maps each byte to the ASCII digit of its bit b.
+_BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
+
+
+def _lane_sides(state: list[int], free: int) -> Iterator[tuple[int, int]]:
+    """Each free lane q of a ``_free_lanes`` pass with the mask of its side.
+
+    The sides are read as byte columns of the lane states. Each state, shifted
+    down to the pass's lowest free lane and cut to its free lanes, is one
+    little-endian row of a byte matrix; a free lane's side is the strided
+    column of its byte, turned into binary digits by ``bytes.translate`` and
+    into a mask by ``int(digits, 2)``. So each side costs a fixed number of
+    steps that run in C over n bytes, not a Python walk over n states. A pass
+    with no free lane builds no matrix.
+    """
+    if not free:
+        return
+    low = (free & -free).bit_length() - 1
+    width = (free.bit_length() - low + 7) >> 3
+    rows = b"".join([((s & free) >> low).to_bytes(width, "little") for s in state])
+    while free:
+        lane = free & -free
+        free ^= lane
+        k = lane.bit_length() - 1 - low
+        # Digit v is node v's bit, so reversed, node 0 is the lowest bit.
+        yield k + low, int(rows[k >> 3 :: width].translate(_BIT_DIGITS[k & 7])[::-1], 2)
+
+
+def _gather(mask: int, table: Sequence[int]) -> int:
+    """The union of ``table[k]`` over the bits k of ``mask``."""
+    found = 0
+    while mask:
+        low = mask & -mask
+        found |= table[low.bit_length() - 1]
+        mask ^= low
+    return found
+
+
+def _free_pairs(g: DirectedGraph) -> Iterator[tuple[int, int, Iterable[tuple[int, int]]]]:
+    """Every free pair of single nodes, grouped by block and by the pair's lower node i.
+
+    Yields ``(i, later, sides)``: ``later`` is the mask of the nodes j > i of
+    the block that are free with i, and ``sides`` gives ``(j, side_a)`` for
+    each of them, ``side_a`` being the mask of the cut side that holds i.
+    The cut's sources are exactly i and j. Each block is decided on its own
+    (see the module docstring): a chain that is one block is scanned as it
+    is, a two-node block is a free pair, and a larger block is scanned as
+    its induced subgraph, each side then grown by what hangs off its
+    articulation points. The blocks come in search order. A one-block chain
+    reads its sides lazily, so a caller that needs only ``later`` pays for
+    none of them.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    for block, hang in _blocks(g):
+        if block == full:
+            for i, _, free, state in _free_lanes(g.in_adj, g.out_adj, [1 << v for v in range(n)]):
+                if free:
+                    yield i, free, _lane_sides(state, free)
+            return
+        if block.bit_count() == 2:
+            i = (block & -block).bit_length() - 1
+            j = block.bit_length() - 1
+            yield i, 1 << j, [(j, 1 << i | hang.get(i, 0))]
+            continue
+        nodes = list(NodeSet(block, n))
+        local = {v: k for k, v in enumerate(nodes)}
+        in_adj = [[local[u] for u in g.in_adj[v] if block >> u & 1] for v in nodes]
+        out_adj = [[local[w] for w in g.out_adj[v] if block >> w & 1] for v in nodes]
+        bits = [1 << v for v in nodes]
+        grown = [bit | hang.get(v, 0) for v, bit in zip(nodes, bits)]
+        for p, _, free, state in _free_lanes(in_adj, out_adj, [1 << k for k in range(len(nodes))]):
+            if free:
+                sides = [(nodes[q], _gather(side, grown)) for q, side in _lane_sides(state, free)]
+                yield nodes[p], _gather(free, bits), sides
+
+
 def cut_graph(c: FormalChain) -> CutGraph:
     """Find every unordered node pair with a sourced cut and bundle the results.
 
-    The pairs are those of the all-singletons partition that ``_free_lanes``
-    finds free: a free pair of single nodes has exactly those two nodes as
-    sources, so its cut is the one sourced at them. ``sourced_cut`` keeps the
-    per-pair closures as an independent route.
+    The pairs are those ``_free_pairs`` finds: a free pair of single nodes
+    has exactly those two nodes as sources, so its cut is the one sourced at
+    them. ``sourced_cut`` keeps the per-pair closures as an independent route.
     Components are computed eagerly, ordered by their lowest node, and every
     node appears in one, isolated nodes as singletons.
     """
     n = c.graph.n
-    singletons = [1 << v for v in range(n)]
     edges = []
-    for i, _, free, _ in _free_lanes(c.graph, singletons):
-        while free:
-            low = free & -free
+    for i, later, _ in _free_pairs(c.graph):
+        while later:
+            low = later & -later
             edges.append((i, low.bit_length() - 1))
-            free ^= low
-    components = _components(singletons, edges)
+            later ^= low
+    components = _components([1 << v for v in range(n)], edges)
     return CutGraph(frozenset(edges), tuple(NodeSet(m, n) for m in components))
 
 

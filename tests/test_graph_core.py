@@ -1,6 +1,7 @@
 """Graph construction, node sets, and reachability queries."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -12,9 +13,10 @@ from prodform.graph_core import (
     ancestors_avoiding,
     connectivity_witness,
 )
-from prodform.graph_core import _bfs_levels, _descend
+from prodform.graph_core import _bfs_levels, _blocks, _descend
 from util import (
     birth_death,
+    glued_chain,
     ladder7,
     naive_ancestors,
     nodeset,
@@ -255,3 +257,80 @@ def test_shortest_path_lengths_match_bfs_oracle():
             assert path[0] == src and path[-1] == dst
             assert all(b in g.out_adj[a] for a, b in zip(path, path[1:]))
             assert not any(v in avoid for v in path)
+
+
+# ---- blocks ----
+
+
+def _undirected(g: DirectedGraph) -> list[set[int]]:
+    return [(set(g.out_adj[v]) | set(g.in_adj[v])) - {v} for v in range(g.n)]
+
+
+def _parts(adj: list[set[int]], nodes: set[int]) -> list[set[int]]:
+    """The connected parts of the undirected graph induced on ``nodes``."""
+    rest = set(nodes)
+    parts = []
+    while rest:
+        part = {rest.pop()}
+        stack = list(part)
+        while stack:
+            for w in adj[stack.pop()] & rest:
+                rest.discard(w)
+                part.add(w)
+                stack.append(w)
+        parts.append(part)
+    return parts
+
+
+def _brute_blocks(g: DirectedGraph) -> set[frozenset[int]]:
+    """Maximal node sets of two or more that stay connected without any one of their nodes."""
+    adj = _undirected(g)
+    solid = []
+    for size in range(2, g.n + 1):
+        for nodes in itertools.combinations(range(g.n), size):
+            s = set(nodes)
+            if size == 2:
+                ok = nodes[1] in adj[nodes[0]]
+            else:
+                ok = all(len(_parts(adj, s - {v})) == 1 for v in s)
+            if ok:
+                solid.append(frozenset(s))
+    return {b for b in solid if not any(b < other for other in solid)}
+
+
+def test_blocks_match_brute_force_on_random_and_glued_chains():
+    rng = random.Random(7707)
+    multi = 0
+    for k in range(300):
+        if k % 2:
+            g = random_strongly_connected(rng, rng.randint(1, 8), rng.uniform(0.0, 0.35))
+        else:
+            g = glued_chain(rng, rng.randint(1, 4), 4)
+        if k % 3 == 0:
+            g = DirectedGraph(g.labels, sorted(set(g.edge_list) | {(0, 0)}))
+        adj = _undirected(g)
+        found = _blocks(g)
+        assert {frozenset(NodeSet(m, g.n)) for m, _ in found} == _brute_blocks(g)
+        assert len(found) == len(_brute_blocks(g))
+        for mask, hang in found:
+            block = set(NodeSet(mask, g.n))
+            for w in block:
+                # Off w hang the parts of the graph without w that miss the block.
+                away = set().union(*(p for p in _parts(adj, set(range(g.n)) - {w}) if not p & block))
+                assert set(NodeSet(hang.get(w, 0), g.n)) == away
+                assert hang.get(w, 1) != 0
+        multi += len(found) > 1
+    assert multi > 100
+
+
+def test_blocks_of_the_family_shapes():
+    assert _blocks(DirectedGraph(["0"], [])) == []
+    # One block, so nothing hangs off any of its nodes.
+    assert _blocks(two_way_cycle(6)) == [((1 << 6) - 1, {})]
+    # A path's blocks are its edges; off node i hang the nodes on its far side.
+    path = sorted(_blocks(birth_death(4)))
+    assert path == [
+        (0b0011, {1: 0b1100}),
+        (0b0110, {1: 0b0001, 2: 0b1000}),
+        (0b1100, {2: 0b0011}),
+    ]

@@ -26,13 +26,13 @@ from prodform import (
     sourced_cut,
     sps_relation,
 )
-from prodform import cli, higher_level
+from prodform import cli, higher_level, product_form
 from prodform.factors import ProductExpr
-from prodform.graph_core import DirectedGraph, NodeSet, connectivity_witness
+from prodform.graph_core import DirectedGraph, NodeSet, _blocks, connectivity_witness
 from prodform.numeric import random_rates, stationary, verify_relation
 from prodform.product_form import _sources
 
-from util import bipartition_sources, random_strongly_connected
+from util import bipartition_sources, glued_chain, random_strongly_connected
 
 
 def _labels(c: FormalChain, s: NodeSet) -> frozenset[str]:
@@ -395,7 +395,7 @@ def _assert_lanes_hold_the_closures(c: FormalChain, comps: list[NodeSet]) -> dic
         whole = _sources(c.graph, h.cut.side_a.mask, h.cut.side_b.mask)
         assert (h.cut.source_a.mask, h.cut.source_b.mask) == whole
     # Every lane, free or not, holds its avoiding-ancestor set and its verdict.
-    for p, lanes, lane_free, state in higher_level._free_lanes(c.graph, masks):
+    for p, lanes, lane_free, state in higher_level._free_lanes(c.graph.in_adj, c.graph.out_adj, masks):
         for q in range(p + 1, len(comps)):
             assert lanes >> q & 1
             side = ancestors_avoiding(c.graph, comps[p], comps[q])
@@ -531,6 +531,75 @@ def test_analyze_first_level_matches_the_closures_on_random_chains():
     for k in range(1000):
         edges += _assert_first_level_matches_the_closures(_random_chain(rng, k))
     assert edges > 1000
+
+
+# ---- the first level, block by block ----
+
+
+def _level_one(hyperedges) -> dict:
+    found = {
+        (h.comp_i, h.comp_j): (h.cut.side_a.mask, h.cut.source_a.mask, h.cut.source_b.mask)
+        for h in hyperedges
+    }
+    assert len(found) == len(hyperedges)
+    return found
+
+
+def test_block_split_matches_the_whole_graph_scan_on_glued_chains():
+    rng = random.Random(9909)
+    multi = 0
+    for k in range(400):
+        c = FormalChain(glued_chain(rng, rng.randint(1, 6), 7))
+        singletons = [1 << v for v in range(c.n)]
+        whole = _level_one(higher_level._scan_pairs(c, singletons, set()))
+        assert _level_one(higher_level._first_level(c)) == whole
+        assert cut_graph(c).edges == set(whole)
+        multi += len(_blocks(c.graph)) > 1
+    assert multi > 300
+
+
+@pytest.mark.parametrize(
+    "spec, largest",
+    [
+        (ModelSpec(Family.BIRTH_DEATH, {"n": 3200}), 2),
+        (ModelSpec(Family.TREE, {"n": 1023}), 2),
+        (ModelSpec(Family.QBD_TOY, {"blocks": 100, "blocksize": 10}), 10),
+    ],
+    ids=["bd-3200", "tree-1023", "qbd-100-10"],
+)
+def test_first_level_scans_no_graph_larger_than_a_block(monkeypatch, spec, largest):
+    # A work bound, not a timing: every lane scan of level 1 runs on one block.
+    c = generate(spec)
+    assert max(mask.bit_count() for mask, _ in _blocks(c.graph)) == largest
+    sizes = []
+    scan = product_form._free_lanes
+
+    def counted(in_adj, *args):
+        sizes.append(len(in_adj))
+        return scan(in_adj, *args)
+
+    monkeypatch.setattr(product_form, "_free_lanes", counted)
+    higher_level._climb(c, [1 << v for v in range(c.n)], set(), 1, 1)
+    cut_graph(c)
+    assert all(size <= largest for size in sizes)
+    # Two-node blocks are free pairs without a scan; qbd scans each ten-node cycle.
+    assert len(sizes) == (0 if largest == 2 else 2 * 100)
+
+
+def test_first_level_scans_a_one_block_chain_whole(monkeypatch):
+    c = generate(ModelSpec(Family.ONE_WAY_CYCLE, {"n": 60}))
+    graphs = []
+    scan = product_form._free_lanes
+
+    def counted(in_adj, *args):
+        graphs.append(in_adj)
+        return scan(in_adj, *args)
+
+    monkeypatch.setattr(product_form, "_free_lanes", counted)
+    assert len(higher_level._first_level(c)) == 60 * 59 // 2
+    assert len(cut_graph(c).edges) == 60 * 59 // 2
+    # One scan of the chain's own adjacency each, with no subgraph copy.
+    assert len(graphs) == 2 and all(adj is c.graph.in_adj for adj in graphs)
 
 
 # ---- shared factors ----

@@ -34,6 +34,9 @@ from util import (
     bipartition_sources,
     birth_death,
     brute_sourced_cuts,
+    corpus,
+    corpus_chain,
+    glued_chain,
     ladder7,
     naive_ancestors,
     nodeset,
@@ -340,6 +343,54 @@ def test_dominator_scan_keeps_pinned_edges_at_400_nodes(family):
     labels = c.graph.labels
     edges = frozenset(frozenset((labels[a], labels[b])) for a, b in cut_graph(c).edges)
     assert edges == expected_fixtures(spec).c1_edges
+
+
+def test_lane_scan_keeps_pinned_edges_of_a_3200_node_birth_death_chain():
+    # Level 1 splits this path into 3199 two-node blocks, so it needs no lane pass.
+    spec = ModelSpec(Family.BIRTH_DEATH, {"n": 3200})
+    c = generate(spec)
+    labels = c.graph.labels
+    edges = frozenset(frozenset((labels[a], labels[b])) for a, b in cut_graph(c).edges)
+    assert edges == expected_fixtures(spec).c1_edges
+
+
+# ---- the block lemma ----
+
+
+def _no_part_joins(g: DirectedGraph, p: int, q: int) -> bool:
+    """Whether no part of the undirected graph without p and q has edges into both of them."""
+    adj = [(set(g.out_adj[v]) | set(g.in_adj[v])) - {v} for v in range(g.n)]
+    rest = set(range(g.n)) - {p, q}
+    while rest:
+        part = {rest.pop()}
+        stack = list(part)
+        while stack:
+            for w in adj[stack.pop()] & rest:
+                rest.discard(w)
+                part.add(w)
+                stack.append(w)
+        heads = {w for v in part for w in g.out_adj[v]}
+        if p in heads and q in heads:
+            return False
+    return True
+
+
+def test_free_pairs_are_those_no_part_of_the_rest_joins():
+    # The lemma behind the block split, against the per-pair closures.
+    chains = [corpus_chain(n, rows) for n, rows in corpus()]
+    rng = random.Random(8808)
+    chains += [
+        FormalChain(random_strongly_connected(rng, rng.randint(2, 12), rng.uniform(0.0, 0.4)))
+        for _ in range(300)
+    ]
+    chains += [FormalChain(glued_chain(rng, rng.randint(2, 4), 4)) for _ in range(300)]
+    verdicts = set()
+    for c in chains:
+        for p, q in itertools.combinations(range(c.n), 2):
+            free = sourced_cut(c, p, q) is not None
+            assert _no_part_joins(c.graph, p, q) == free
+            verdicts.add(free)
+    assert verdicts == {True, False}
 
 
 # ---- cut sources ----

@@ -92,6 +92,26 @@ def random_strongly_connected(rng: random.Random, n: int, extra_edge_prob: float
     return g
 
 
+def glued_chain(rng: random.Random, parts: int, largest: int) -> DirectedGraph:
+    """Random strongly connected chains of 2 to ``largest`` nodes, each glued at one node
+    of those before it, with the node order shuffled: many blocks and articulation points."""
+    n = 0
+    edges: set[tuple[int, int]] = set()
+    for _ in range(parts):
+        part = random_strongly_connected(rng, rng.randint(2, largest), rng.uniform(0.0, 0.5))
+        if n:
+            ids = [rng.randrange(n), *range(n, n + part.n - 1)]
+        else:
+            ids = list(range(part.n))
+        n = max(n, ids[-1] + 1)
+        edges |= {(ids[u], ids[v]) for u, v in part.edge_list}
+    order = list(range(n))
+    rng.shuffle(order)
+    g = DirectedGraph([str(i) for i in range(n)], sorted((order[u], order[v]) for u, v in edges))
+    assert connectivity_witness(g) is None
+    return g
+
+
 # ---- exhaustive small-graph corpus ----
 
 # Unlabeled strongly connected loop-free digraphs on 1..5 nodes; the corpus
