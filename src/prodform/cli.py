@@ -270,15 +270,16 @@ def _report_body(c: FormalChain, found: Analysis) -> dict:
     """The ``first_level`` and ``levels`` entries of the analyze report."""
     labels = c.graph.labels
     names = _set_names(labels)
-    first_count = len(found.edge_order)
+    first, *higher = found.levels
+    first_count = len(first.hyperedges)
     relations = _share_factors(relations_to_json(found.relations, labels))
     first_level = {
-        "edges": [_names(labels, e) for e in found.edge_order],
-        "components": [names(comp) for comp in found.c1.components],
+        "edges": [_names(labels, (h.comp_i, h.comp_j)) for h in first.hyperedges],
+        "components": [names(comp) for comp in first.components],
         "relations": relations[:first_count],
     }
     levels = []
-    for lv in found.levels:
+    for lv in higher:
         entry = {
             "level": lv.level,
             "hyperedges": [
@@ -327,7 +328,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidArgumentError(f"--tol must be finite and nonnegative, got {args.tol}")
     labels = c.graph.labels
     found = analyze(c, max_level=2)
-    relations, cuts = found.relations, found.cuts
+    relations = found.relations
+    cuts = [h.cut for lv in found.levels for h in lv.hyperedges]
     fault_name = None
     if args.fault is not None:
         if not relations:
@@ -444,10 +446,10 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
     labels = c.graph.labels
     names = _set_names(labels)
     brute = enumerate_sourced_cuts(c)
-    scanned = cut_graph(c).edges
-    brute_pairs = set(brute)
-    missing = sorted(_names(labels, e) for e in brute_pairs - scanned)
-    extra = sorted(_names(labels, e) for e in scanned - brute_pairs)
+    scanned = {(h.comp_i, h.comp_j): h.cut for h in analyze(c, 1).levels[0].hyperedges}
+    # A wrong side names its pair in both lists.
+    missing = sorted(_names(labels, pair) for pair, _ in brute.items() - scanned.items())
+    extra = sorted(_names(labels, pair) for pair, _ in scanned.items() - brute.items())
     agreed = not missing and not extra
     report = {
         "mode": "cuts",

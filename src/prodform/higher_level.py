@@ -11,11 +11,14 @@ One lane scan (``product_form._free_lanes``, which also gives the
 correctness argument) decides every component pair of a level at once, and
 the avoiding-ancestor sides it leaves behind are the cuts of the free pairs.
 Level 1 runs it once per biconnected block (``product_form._free_pairs``).
-One level loop, ``_climb``, runs every level; it skips pairs whose answer is
-already known, and says which and why that is exact.
+One level loop, ``_climb``, merges and rescans from level 2 up, starting
+from the level-1 components; it skips pairs whose answer is already known,
+and says which and why that is exact.
 
 ``analyze`` is the whole pipeline behind the command line's ``analyze`` and
-``verify``: every level from 1 up, and every relation and cut they check.
+``verify``: level 1 with its cuts, the levels above it, and every relation
+and cut they check. ``higher_level_cut_graph`` enters the same loop from
+``cut_graph``, which reads no cut sides.
 """
 from __future__ import annotations
 
@@ -100,25 +103,22 @@ def _first_level(c: FormalChain) -> tuple[HyperEdge, ...]:
     return tuple(edges)
 
 
-def _climb(
-    c: FormalChain, comps: list[int], settled: set[int], first: int, max_level: int
-) -> list[CutHypergraph]:
-    """Scan, merge and rescan from level ``first`` up to ``max_level``.
+def _climb(c: FormalChain, comps: list[int], max_level: int) -> list[CutHypergraph]:
+    """Merge and rescan from level 2 up to ``max_level``, from level 1's partition ``comps``.
 
-    ``comps`` is level ``first``'s partition as masks. Level 1 is the
-    all-singletons partition with nothing settled, decided block by block by
-    ``_free_pairs``. Every level settles the components the level before it
-    scanned (``settled`` for level ``first``): a pair of two of them was found
-    not free there, or it would have merged, so skipping it drops no
-    hyperedge and the output equals a full rescan of every pair. Stops at the
-    first level that finds no hyperedge or leaves one component; levels that
-    find nothing are not reported.
+    Every level settles the components the level before it scanned; level 1
+    scanned every single node. A pair of two settled components was found not
+    free there, or it would have merged, so skipping it drops no hyperedge
+    and the output equals a full rescan of every pair. Stops at the first
+    level that finds no hyperedge or leaves one component; levels that find
+    nothing are not reported.
     """
+    settled = {1 << v for v in range(c.graph.n)}
     levels: list[CutHypergraph] = []
-    for level in range(first, max_level + 1):
+    for level in range(2, max_level + 1):
         if len(comps) <= 1:
             break
-        edges = _first_level(c) if level == 1 else _scan_pairs(c, comps, settled)
+        edges = _scan_pairs(c, comps, settled)
         if not edges:
             break
         settled = set(comps)
@@ -133,15 +133,14 @@ def higher_level_cut_graph(
 ) -> list[CutHypergraph]:
     """Run the merge-and-rescan recursion from level 2 up to ``max_level``.
 
-    Level 2 scans the first-level components; level 1 scanned every single
-    node, so all are settled. A caller holding ``cut_graph(c)`` passes it as ``c1``.
+    Level 2 scans the first-level components. A caller holding
+    ``cut_graph(c)`` passes it as ``c1``.
     """
     if max_level < 2:
         raise InvalidArgumentError("the recursion starts at level 2")
     if c1 is None:
         c1 = cut_graph(c)
-    comps = [comp.mask for comp in c1.components]
-    return _climb(c, comps, {1 << v for v in range(c.graph.n)}, 2, max_level)
+    return _climb(c, [comp.mask for comp in c1.components], max_level)
 
 
 # ---- sum-of-ratio relations ----
@@ -266,63 +265,54 @@ def sps_relation(
 class Analysis:
     """Everything ``analyze`` reports and ``verify`` checks, before formatting.
 
-    ``edge_order`` sorts the first-level edges by their label pairs.
-    ``relations`` and ``cuts`` list the first-level ones in ``edge_order``,
-    then the level-2 ones in hyperedge order.
+    ``levels[0]`` is level 1, its hyperedges the cut-graph edges sorted by
+    their label pairs. ``relations`` lists the first-level ones in that
+    order, then the level-2 ones in hyperedge order.
     """
 
-    c1: CutGraph
-    edge_order: list[tuple[int, int]]
     levels: list[CutHypergraph]
     relations: list[Relation]
-    cuts: list[Cut]
 
 
 def analyze(c: FormalChain, max_level: int) -> Analysis:
-    """Cut graph, levels up to ``max_level``, and every first- and second-level relation.
+    """Levels 1 to ``max_level``, and every first- and second-level relation.
 
-    One level loop runs from level 1, the all-singletons partition: its
-    hyperedges are the cut-graph edges, each with its sourced cut read from
-    the lane scan. The level-2 relations take their per-hop factors from the
-    first-level relations. Every relation that needs the same crossing sum
-    holds the same object, so there are at most as many distinct S factors
-    as (node, crossing out-neighbours) pairs.
+    Level 1 is the all-singletons partition: its hyperedges are the cut-graph
+    edges, each with its sourced cut read from the lane scan; ``_climb``
+    merges and rescans from there. The level-2 relations take their per-hop
+    factors from the first-level relations. Every relation that needs the
+    same crossing sum holds the same object, so there are at most as many
+    distinct S factors as (node, crossing out-neighbours) pairs.
     """
     if max_level < 1:
         raise InvalidArgumentError(f"max_level must be at least 1, got {max_level}")
     g = c.graph
-    singletons = [1 << v for v in range(g.n)]
-    levels = _climb(c, singletons, set(), 1, max_level)
-    if levels:
-        first = levels.pop(0)
-    else:
-        first = CutHypergraph(1, (), tuple(NodeSet(m, g.n) for m in singletons))
-    c1 = CutGraph(frozenset((h.comp_i, h.comp_j) for h in first.hyperedges), first.components)
     # Labels are unique, so label ranks order the edges as their sorted label pairs would.
     rank = {v: r for r, v in enumerate(sorted(range(g.n), key=g.labels.__getitem__))}
-    ordered = sorted(
-        first.hyperedges,
+    first = sorted(
+        _first_level(c),
         key=lambda h: (a, b) if (a := rank[h.comp_i]) < (b := rank[h.comp_j]) else (b, a),
     )
-    edge_order = [(h.comp_i, h.comp_j) for h in ordered]
-    cuts = [h.cut for h in ordered]
+    comps = _components([1 << v for v in range(g.n)], [(h.comp_i, h.comp_j) for h in first])
+    level1 = CutHypergraph(1, tuple(first), tuple(NodeSet(m, g.n) for m in comps))
+    levels = [level1, *_climb(c, comps, max_level)]
     sums: _Sums = {}
     relations = []
-    # Each is s_relation(c, a, b, cut): a < b, as level 1 scans the singletons
-    # in index order, and both sides are sums of atoms, so the rank is S.
-    for (a, b), cut in zip(edge_order, cuts):
-        side_a = cut.side_a.mask
-        f_ab = _shared_sum(c, sums, a, side_a, False)
-        relations.append(Relation(a, b, f_ab, _shared_sum(c, sums, b, side_a, True), LEVEL_S))
-    if levels:
+    # Each equals s_relation(c, a, b), its sourced cut read from the scan: a < b,
+    # as level 1 scans the singletons in index order, and both sides are sums
+    # of atoms, so the rank is S.
+    for h in first:
+        side_a = h.cut.side_a.mask
+        f_ab = _shared_sum(c, sums, h.comp_i, side_a, False)
+        f_ba = _shared_sum(c, sums, h.comp_j, side_a, True)
+        relations.append(Relation(h.comp_i, h.comp_j, f_ab, f_ba, LEVEL_S))
+    if len(levels) > 1:
         hops, adj = _hop_factors(g.n, relations)
-        second = levels[0].hyperedges
         relations.extend(
             _sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), hops, adj, sums)
-            for h in second
+            for h in levels[1].hyperedges
         )
-        cuts.extend(h.cut for h in second)
-    return Analysis(c1, edge_order, levels, relations, cuts)
+    return Analysis(levels, relations)
 
 
 # ---- broad search ----

@@ -248,8 +248,6 @@ def enumerate_sourced_cuts(c: FormalChain) -> dict[tuple[int, int], Cut]:
     # consider each bipartition once by pinning node 0 to side_a
     for mask in range(1, full, 2):
         comp = full & ~mask
-        if comp == 0:
-            continue
         src_a, src_b = _sources(g, mask, comp)
         if src_a.bit_count() != 1 or src_b.bit_count() != 1:
             continue

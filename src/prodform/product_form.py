@@ -187,29 +187,22 @@ def sourced_cut(c: FormalChain, i: int, j: int) -> Cut | None:
     return Cut(NodeSet(a, g.n), NodeSet(1 << i, g.n), NodeSet(1 << j, g.n))
 
 
-def s_factors(
-    c: FormalChain, i: int, j: int, cut: Cut | None = None
-) -> tuple[SumExpr, SumExpr] | None:
+def s_factors(c: FormalChain, i: int, j: int) -> tuple[SumExpr, SumExpr] | None:
     """The factor pair (f_ij, f_ji) of the cut sourced at ({i}, {j}), or None.
 
     f_ij sums the rates of i's edges into j's cut side, so
     ``pi[i] * f_ij = pi[j] * f_ji`` is the cut equation of the sourced cut.
-    A caller that already holds ``sourced_cut(c, i, j)`` passes it as ``cut``.
     """
+    cut = sourced_cut(c, i, j)
     if cut is None:
-        cut = sourced_cut(c, i, j)
-        if cut is None:
-            return None
+        return None
     side_a = cut.side_a.mask
     return _crossing_sum(c, i, side_a, False), _crossing_sum(c, j, side_a, True)
 
 
-def s_relation(c: FormalChain, i: int, j: int, cut: Cut | None = None) -> Relation | None:
-    """The width-level relation of a cut-graph edge, oriented by node index.
-
-    ``cut``, when given, must be ``sourced_cut(c, i, j)``.
-    """
-    pair = s_factors(c, i, j, cut)
+def s_relation(c: FormalChain, i: int, j: int) -> Relation | None:
+    """The width-level relation of a cut-graph edge, oriented by node index."""
+    pair = s_factors(c, i, j)
     if pair is None:
         return None
     return make_relation(i, j, pair[0], pair[1])

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from prodform import (
-    CutGraph,
+    Analysis,
+    CutHypergraph,
     Family,
     Relation,
     analyze,
@@ -371,6 +373,7 @@ def test_verify_report_residuals_equal_the_reference_loop(tmp_path, family: str)
     path = _generate(tmp_path, family)
     _, c, _ = cli._load(path)
     found = analyze(c, max_level=2)
+    cuts = [h.cut for lv in found.levels for h in lv.hyperedges]
     out = str(tmp_path / "verify.json")
     for seeds, fault in ((2, False), (1, True)):
         flags = ["--seeds", str(seeds)] + (["--fault"] if fault else [])
@@ -384,13 +387,13 @@ def test_verify_report_residuals_equal_the_reference_loop(tmp_path, family: str)
             r = relations[0]
             relations[0] = Relation(r.lhs_node, r.rhs_node, r.rhs_factor, r.lhs_factor, r.level)
         relation_worst = [0.0] * len(relations)
-        cut_worst = [0.0] * len(found.cuts)
+        cut_worst = [0.0] * len(cuts)
         for seed in range(seeds):
             rates = random_rates(c, seed)
             pi = stationary(c, rates)
             for k, r in enumerate(relations):
                 relation_worst[k] = max(relation_worst[k], reference_relation_residual(pi, rates, r))
-            for k, cut in enumerate(found.cuts):
+            for k, cut in enumerate(cuts):
                 cut_worst[k] = max(cut_worst[k], reference_cut_residual(pi, rates, cut))
         assert [entry["worst_residual"] for entry in report["relations"]] == relation_worst
         assert [entry["worst_residual"] for entry in report["cuts"]] == cut_worst
@@ -465,7 +468,7 @@ def test_oracle_cuts_agree_with_the_scan(tmp_path):
 def test_oracle_cuts_fail_when_the_scan_disagrees(tmp_path, monkeypatch):
     path = _generate(tmp_path, "ladder")
     out = str(tmp_path / "oracle.json")
-    monkeypatch.setattr(cli, "cut_graph", lambda c: CutGraph(frozenset(), ()))
+    monkeypatch.setattr(cli, "analyze", lambda c, k: Analysis([CutHypergraph(1, (), ())], []))
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
     report = _read_json(out)
     assert report["match"] is False
@@ -475,6 +478,28 @@ def test_oracle_cuts_fail_when_the_scan_disagrees(tmp_path, monkeypatch):
     report = _read_json(out)
     assert report["summary"] == "3 mismatches"
     assert len(report["findings"]["conjecture1"]) == 3
+
+
+def test_oracle_cuts_name_a_wrong_side_in_both_lists(tmp_path, monkeypatch):
+    path = _generate(tmp_path, "ladder")
+    out = str(tmp_path / "oracle.json")
+    assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_OK
+    right = _read_json(out)
+    scan = cli.analyze
+
+    def one_wrong_side(c, max_level):
+        found = scan(c, max_level)
+        first, *higher = found.levels
+        h, *rest = first.hyperedges
+        wrong = replace(h, cut=replace(h.cut, side_a=h.cut.side_b))
+        return Analysis([replace(first, hyperedges=(wrong, *rest)), *higher], found.relations)
+
+    monkeypatch.setattr(cli, "analyze", one_wrong_side)
+    assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
+    report = _read_json(out)
+    assert report["match"] is False
+    assert report["diff"] == {"missing": [["0", "1"]], "extra": [["0", "1"]]}
+    assert report["cuts"] == right["cuts"]
 
 
 def test_oracle_broad_lists_pinned_member(tmp_path):

@@ -451,7 +451,7 @@ def test_lanes_past_the_first_byte_hold_the_closures():
     ):
         c = generate(spec)
         # The partitions levels 2 and 3 scan; batchv1's level 3 has one part.
-        for level in higher_level._climb(c, [1 << v for v in range(c.graph.n)], set(), 1, 2):
+        for level in analyze(c, 2).levels:
             partitions.append((c, list(level.components)))
     lanes = []
     for c, comps in partitions:
@@ -507,14 +507,18 @@ def _assert_first_level_matches_the_closures(c: FormalChain) -> int:
     # analyze reads level 1 from the lane scan; the per-pair closures must agree.
     found = analyze(c, 6)
     c1 = cut_graph(c)
-    assert found.c1 == c1
+    first = found.levels[0]
+    assert first.level == 1
+    assert first.components == c1.components
     labels = c.graph.labels
-    assert found.edge_order == sorted(c1.edges, key=lambda e: sorted((labels[e[0]], labels[e[1]])))
-    assert len(found.cuts) == len(found.relations) >= len(found.edge_order)
-    for (a, b), cut, relation in zip(found.edge_order, found.cuts, found.relations):
+    pairs = [(h.comp_i, h.comp_j) for h in first.hyperedges]
+    assert pairs == sorted(c1.edges, key=lambda e: sorted((labels[e[0]], labels[e[1]])))
+    cuts = [h.cut for lv in found.levels[:2] for h in lv.hyperedges]
+    assert len(cuts) == len(found.relations) >= len(pairs)
+    for (a, b), cut, relation in zip(pairs, cuts, found.relations):
         assert cut == sourced_cut(c, a, b)
         assert relation == s_relation(c, a, b)
-    assert found.levels == higher_level_cut_graph(c, 6, c1)
+    assert found.levels[1:] == higher_level_cut_graph(c, 6, c1)
     return len(c1.edges)
 
 
@@ -522,7 +526,11 @@ def _assert_first_level_matches_the_closures(c: FormalChain) -> int:
     "spec", _ANALYZE_SPECS, ids=lambda s: "-".join([s.family.value, *map(str, s.params.values())])
 )
 def test_analyze_first_level_matches_the_closures_on_families(spec):
-    _assert_first_level_matches_the_closures(generate(spec))
+    c = generate(spec)
+    _assert_first_level_matches_the_closures(c)
+    # analyze and higher_level_cut_graph enter the one level loop alike.
+    for k in range(2, 6):
+        assert analyze(c, k).levels[1:] == higher_level_cut_graph(c, k)
 
 
 def test_analyze_first_level_matches_the_closures_on_random_chains():
@@ -531,6 +539,21 @@ def test_analyze_first_level_matches_the_closures_on_random_chains():
     for k in range(1000):
         edges += _assert_first_level_matches_the_closures(_random_chain(rng, k))
     assert edges > 1000
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        generate(ModelSpec(Family.TWO_WAY_CYCLE, {"n": 5})),
+        FormalChain(DirectedGraph(["a"], [(0, 0)])),
+    ],
+    ids=["twoway-5", "one-node-self-loop"],
+)
+def test_analyze_first_level_without_edges_keeps_every_node_apart(c):
+    (first,) = analyze(c, 6).levels
+    assert first.level == 1
+    assert first.hyperedges == ()
+    assert first.components == tuple(NodeSet(1 << v, c.n) for v in range(c.n))
 
 
 # ---- the first level, block by block ----
@@ -579,7 +602,7 @@ def test_first_level_scans_no_graph_larger_than_a_block(monkeypatch, spec, large
         return scan(in_adj, *args)
 
     monkeypatch.setattr(product_form, "_free_lanes", counted)
-    higher_level._climb(c, [1 << v for v in range(c.n)], set(), 1, 1)
+    higher_level._first_level(c)
     cut_graph(c)
     assert all(size <= largest for size in sizes)
     # Two-node blocks are free pairs without a scan; qbd scans each ten-node cycle.
@@ -612,21 +635,22 @@ def test_analyze_builds_one_factor_per_node_of_a_one_way_cycle():
     assert len(found.relations) == 60 * 59 // 2
     factors = {id(f) for r in found.relations for f in (r.lhs_factor, r.rhs_factor)}
     assert len(factors) == 60
-    for (a, b), relation in zip(found.edge_order, found.relations):
-        assert relation == s_relation(c, a, b)
+    for h, relation in zip(found.levels[0].hyperedges, found.relations):
+        assert relation == s_relation(c, h.comp_i, h.comp_j)
 
 
 def test_analyze_second_level_relations_equal_sps_relation():
     c = generate(ModelSpec(Family.BATCH_V1))
     found = analyze(c, 2)
     c1 = cut_graph(c)
-    second = found.relations[len(found.edge_order):]
-    hyperedges = found.levels[0].hyperedges
+    first_count = len(found.levels[0].hyperedges)
+    second = found.relations[first_count:]
+    hyperedges = found.levels[1].hyperedges
     assert len(second) == len(hyperedges) == 5
     for h, relation in zip(hyperedges, second):
         assert relation == sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), c1)
     # Each hop of a level-2 term is a first-level factor object; the last factor is the crossing sum.
-    first = {id(f) for r in found.relations[: len(found.edge_order)] for f in (r.lhs_factor, r.rhs_factor)}
+    first = {id(f) for r in found.relations[:first_count] for f in (r.lhs_factor, r.rhs_factor)}
     products = [
         t for r in second for side in (r.lhs_factor, r.rhs_factor) for t in side.terms
         if isinstance(t, ProductExpr)

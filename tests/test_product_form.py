@@ -332,8 +332,6 @@ def test_dominator_scan_matches_sourced_cuts_on_families(spec):
     c = generate(spec)
     edges = cut_graph(c).edges
     assert edges == _sourced_cut_pairs(c)
-    for i, j in sorted(edges)[:20]:
-        assert s_relation(c, i, j, sourced_cut(c, i, j)) == s_relation(c, i, j)
 
 
 @pytest.mark.parametrize("family", [Family.BIRTH_DEATH, Family.ONE_WAY_CYCLE, Family.TWO_WAY_CYCLE])
