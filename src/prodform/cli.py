@@ -26,8 +26,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .factors import Relation, factor_to_json, relation_to_json, relations_to_json
-from .graph_core import DirectedGraph, NodeSet, connectivity_witness
-from .higher_level import Analysis, analyze, broad_pair_scan, higher_level_cut_graph
+from .graph_core import DirectedGraph, NodeSet
+from .higher_level import Analysis, _first_level, analyze, broad_pair_scan, higher_level_cut_graph
 from .models import Family, FixtureBundle, ModelSpec, expected_fixtures, parameter_names
 from .models import generate as generate_model
 from .numeric import (
@@ -129,14 +129,13 @@ def parse_document(text: str) -> GraphDocument:
 def document_to_chain(doc: GraphDocument) -> tuple[FormalChain, RateAssignment | None]:
     """Build the validated chain (and the rate assignment when rates are given)."""
     g = DirectedGraph.from_labeled_edges(list(doc.nodes), list(doc.edges))
-    kind = ChainKind(doc.kind)
-    c = FormalChain(g, kind)
+    c = FormalChain(g, ChainKind(doc.kind))
     if doc.rates is None:
         return c, None
     values = {
         (g.index_of[a], g.index_of[b]): rate for (a, b), rate in zip(doc.edges, doc.rates)
     }
-    return c, rate_assignment(c, values, kind)
+    return c, rate_assignment(c, values)
 
 
 def emit_document(
@@ -437,16 +436,18 @@ def _random_chain(rng: random.Random, n: int) -> FormalChain:
             for j in range(n)
             if i != j and rng.random() < 0.35
         ]
-        g = DirectedGraph(labels, edges)
-        if connectivity_witness(g) is None:
-            return FormalChain(g)
+        try:
+            return FormalChain(DirectedGraph(labels, edges))
+        except NotStronglyConnectedError:
+            pass
 
 
 def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
+    """The brute-force cuts against the scan's level-1 pairs and cut sides."""
     labels = c.graph.labels
     names = _set_names(labels)
     brute = enumerate_sourced_cuts(c)
-    scanned = {(h.comp_i, h.comp_j): h.cut for h in analyze(c, 1).levels[0].hyperedges}
+    scanned = {(h.comp_i, h.comp_j): h.cut for h in _first_level(c)}
     # A wrong side names its pair in both lists.
     missing = sorted(_names(labels, pair) for pair, _ in brute.items() - scanned.items())
     extra = sorted(_names(labels, pair) for pair, _ in scanned.items() - brute.items())
@@ -526,61 +527,50 @@ def _broad_exit_code(skipped: int) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.input == "random":
-        # A chain of fewer than two nodes has no pair to compare.
-        for flag, value, least in (("--samples", args.samples, 1), ("--nodes", args.nodes, 2)):
-            if value < least:
-                raise InvalidArgumentError(f"{flag} must be at least {least}, got {value}")
-        rng = random.Random(args.seed)
-        counter1: list[str] = []
-        counter2: list[str] = []
-        pairs_with_members = 0
-        pairs_skipped = 0
-        for _ in range(args.samples):
-            c = _random_chain(rng, args.nodes)
-            if args.mode == "cuts":
-                _, agreed = _oracle_cuts(c)
-                if not agreed:
-                    counter1.append(emit_document(c, "counterexample").to_json())
-                continue
-            reports, c1_bad, c2_bad, skipped = _broad_findings(c)
-            pairs_with_members += len(reports)
-            pairs_skipped += len(skipped)
-            counter1.extend(c1_bad)
-            counter2.extend(c2_bad)
+    if args.input != "random":
+        _, c, _ = _load(args.input)
         if args.mode == "cuts":
-            summary = "no sourced-cut mismatch" if not counter1 else f"{len(counter1)} mismatches"
-        else:
-            summary = _broad_summary(counter1, counter2, pairs_skipped)
+            report, agreed = _oracle_cuts(c)
+            _write_json(report, args.out)
+            return EXIT_OK if agreed else EXIT_FAILURE
+        pairs, counter1, counter2, skipped = _broad_findings(c)
         report = {
-            "mode": args.mode,
-            "samples": args.samples,
-            "nodes": args.nodes,
-            "seed": args.seed,
-            "pairs_with_members": pairs_with_members,
-            "pairs_skipped": pairs_skipped,
+            "mode": "broad",
+            "pairs": pairs,
+            "skipped": skipped,
             "findings": {"conjecture1": counter1, "conjecture2": counter2},
-            "summary": summary,
+            "summary": _broad_summary(counter1, counter2, len(skipped)),
         }
         _write_json(report, args.out)
-        if args.mode == "cuts":
-            return EXIT_FAILURE if counter1 else EXIT_OK
-        return _broad_exit_code(pairs_skipped)
-    _, c, _ = _load(args.input)
+        return _broad_exit_code(len(skipped))
+    # A chain of fewer than two nodes has no pair to compare.
+    for flag, value, least in (("--samples", args.samples, 1), ("--nodes", args.nodes, 2)):
+        if value < least:
+            raise InvalidArgumentError(f"{flag} must be at least {least}, got {value}")
+    rng = random.Random(args.seed)
+    chains = (_random_chain(rng, args.nodes) for _ in range(args.samples))
+    report = {"mode": args.mode, "samples": args.samples, "nodes": args.nodes, "seed": args.seed}
     if args.mode == "cuts":
-        report, agreed = _oracle_cuts(c)
+        mismatches = [
+            emit_document(c, "counterexample").to_json() for c in chains if not _oracle_cuts(c)[1]
+        ]
+        report["mismatches"] = mismatches
+        report["summary"] = f"{len(mismatches)} mismatches" if mismatches else "no sourced-cut mismatch"
         _write_json(report, args.out)
-        return EXIT_OK if agreed else EXIT_FAILURE
-    reports, c1_bad, c2_bad, skipped = _broad_findings(c)
-    report = {
-        "mode": "broad",
-        "pairs": reports,
-        "skipped": skipped,
-        "findings": {"conjecture1": c1_bad, "conjecture2": c2_bad},
-        "summary": _broad_summary(c1_bad, c2_bad, len(skipped)),
-    }
+        return EXIT_FAILURE if mismatches else EXIT_OK
+    pairs_with_members = pairs_skipped = 0
+    counter1, counter2 = [], []
+    for pairs, c1_bad, c2_bad, skipped in map(_broad_findings, chains):
+        pairs_with_members += len(pairs)
+        pairs_skipped += len(skipped)
+        counter1 += c1_bad
+        counter2 += c2_bad
+    report["pairs_with_members"] = pairs_with_members
+    report["pairs_skipped"] = pairs_skipped
+    report["findings"] = {"conjecture1": counter1, "conjecture2": counter2}
+    report["summary"] = _broad_summary(counter1, counter2, pairs_skipped)
     _write_json(report, args.out)
-    return _broad_exit_code(len(skipped))
+    return _broad_exit_code(pairs_skipped)
 
 
 # ---- export ----

@@ -226,13 +226,7 @@ def _sps_relation(
     return make_relation(i_star, j_star, lhs, rhs)
 
 
-def sps_relation(
-    c: FormalChain,
-    h: HyperEdge,
-    i_star: int,
-    j_star: int,
-    c1: CutGraph | None = None,
-) -> Relation:
+def sps_relation(c: FormalChain, h: HyperEdge, i_star: int, j_star: int) -> Relation:
     """The two-node relation a component-pair cut induces between chosen members.
 
     The cut equation of ``h`` balances one weighted flow sum per side; every
@@ -243,8 +237,7 @@ def sps_relation(
     ``j_star`` alone; with singleton sources equal to the chosen members it
     degenerates to a plain width-level relation.
     """
-    if c1 is None:
-        c1 = cut_graph(c)
+    c1 = cut_graph(c)
     comps = c1.components
     if not (0 <= h.comp_i < len(comps) and 0 <= h.comp_j < len(comps)):
         raise InvalidArgumentError("hyperedge does not reference first-level components")

@@ -12,12 +12,11 @@ from pathlib import Path
 import pytest
 
 from prodform import (
-    Analysis,
-    CutHypergraph,
     Family,
     Relation,
     analyze,
     cli,
+    higher_level,
     random_rates,
     stationary,
 )
@@ -468,7 +467,7 @@ def test_oracle_cuts_agree_with_the_scan(tmp_path):
 def test_oracle_cuts_fail_when_the_scan_disagrees(tmp_path, monkeypatch):
     path = _generate(tmp_path, "ladder")
     out = str(tmp_path / "oracle.json")
-    monkeypatch.setattr(cli, "analyze", lambda c, k: Analysis([CutHypergraph(1, (), ())], []))
+    monkeypatch.setattr(cli, "_first_level", lambda c: ())
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
     report = _read_json(out)
     assert report["match"] is False
@@ -477,7 +476,7 @@ def test_oracle_cuts_fail_when_the_scan_disagrees(tmp_path, monkeypatch):
     assert cli.main(args) == cli.EXIT_FAILURE
     report = _read_json(out)
     assert report["summary"] == "3 mismatches"
-    assert len(report["findings"]["conjecture1"]) == 3
+    assert len(report["mismatches"]) == 3
 
 
 def test_oracle_cuts_name_a_wrong_side_in_both_lists(tmp_path, monkeypatch):
@@ -485,21 +484,32 @@ def test_oracle_cuts_name_a_wrong_side_in_both_lists(tmp_path, monkeypatch):
     out = str(tmp_path / "oracle.json")
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_OK
     right = _read_json(out)
-    scan = cli.analyze
+    scan = cli._first_level
 
-    def one_wrong_side(c, max_level):
-        found = scan(c, max_level)
-        first, *higher = found.levels
-        h, *rest = first.hyperedges
-        wrong = replace(h, cut=replace(h.cut, side_a=h.cut.side_b))
-        return Analysis([replace(first, hyperedges=(wrong, *rest)), *higher], found.relations)
+    def one_wrong_side(c):
+        h, *rest = scan(c)
+        return (replace(h, cut=replace(h.cut, side_a=h.cut.side_b)), *rest)
 
-    monkeypatch.setattr(cli, "analyze", one_wrong_side)
+    monkeypatch.setattr(cli, "_first_level", one_wrong_side)
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
     report = _read_json(out)
     assert report["match"] is False
     assert report["diff"] == {"missing": [["0", "1"]], "extra": [["0", "1"]]}
     assert report["cuts"] == right["cuts"]
+
+
+def test_oracle_cuts_build_no_relation(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the cuts oracle reads no analysis")
+
+    path = _generate(tmp_path, "ladder")
+    out = str(tmp_path / "oracle.json")
+    monkeypatch.setattr(cli, "analyze", refuse)
+    monkeypatch.setattr(higher_level, "_shared_sum", refuse)
+    assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_OK
+    assert _read_json(out)["match"] is True
+    args = ["oracle", "random", "--nodes", "6", "--samples", "20", "--mode", "cuts", "--out", out]
+    assert cli.main(args) == cli.EXIT_OK
 
 
 def test_oracle_broad_lists_pinned_member(tmp_path):
@@ -548,13 +558,24 @@ def test_oracle_random_scan(tmp_path):
     assert report["pairs_skipped"] == 0
 
 
+def test_oracle_random_cuts_agree_with_the_scan(tmp_path):
+    out = str(tmp_path / "random.json")
+    args = ["oracle", "random", "--nodes", "6", "--samples", "100", "--mode", "cuts", "--out", out]
+    assert cli.main(args) == cli.EXIT_OK
+    report = _read_json(out)
+    assert list(report) == ["mode", "samples", "nodes", "seed", "mismatches", "summary"]
+    assert report["mismatches"] == []
+    assert report["summary"] == "no sourced-cut mismatch"
+
+
 def test_oracle_random_is_deterministic(tmp_path):
     first = str(tmp_path / "r1.json")
     second = str(tmp_path / "r2.json")
-    args = ["oracle", "random", "--nodes", "5", "--samples", "20", "--mode", "broad"]
-    assert cli.main([*args, "--out", first]) == cli.EXIT_OK
-    assert cli.main([*args, "--out", second]) == cli.EXIT_OK
-    assert Path(first).read_bytes() == Path(second).read_bytes()
+    for mode in ("cuts", "broad"):
+        args = ["oracle", "random", "--nodes", "5", "--samples", "20", "--mode", mode]
+        assert cli.main([*args, "--out", first]) == cli.EXIT_OK
+        assert cli.main([*args, "--out", second]) == cli.EXIT_OK
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 # ---- export ----

@@ -181,8 +181,8 @@ def test_batch_v1_displayed_two_hop_composition():
     h12 = by_sources[(frozenset({"1", "bar1"}), frozenset({"2"}))]
     h23 = by_sources[(frozenset({"2", "bar2"}), frozenset({"3"}))]
     idx = c.graph.index_of
-    first = sps_relation(c, h12, idx["1"], idx["2"], c1)
-    second = sps_relation(c, h23, idx["2"], idx["3"], c1)
+    first = sps_relation(c, h12, idx["1"], idx["2"])
+    second = sps_relation(c, h23, idx["2"], idx["3"])
     assert first.level.name == "SPS"
     assert second.level.name == "SPS"
     combined = chain_relations(first, second)
@@ -203,7 +203,7 @@ def test_sum_of_ratio_relation_holds_for_any_member_choice():
     comp_i, comp_j = c1.components[h.comp_i], c1.components[h.comp_j]
     for i_star in comp_i:
         for j_star in comp_j:
-            r = sps_relation(c, h, i_star, j_star, c1)
+            r = sps_relation(c, h, i_star, j_star)
             for seed in range(5):
                 rates = random_rates(c, seed)
                 pi = stationary(c, rates)
@@ -220,7 +220,7 @@ def test_singleton_sources_degenerate_to_width_level():
     by_sources = {(_labels(c, h.cut.source_a), _labels(c, h.cut.source_b)): h for h in hyperedges}
     h = by_sources[(frozenset({"2", "5"}), frozenset({"3"}))]
     idx = c.graph.index_of
-    r = sps_relation(c, h, idx["2"], idx["3"], c1)
+    r = sps_relation(c, h, idx["2"], idx["3"])
     assert r.level.name == "SPS"
     for seed in range(20):
         rates = random_rates(c, seed)
@@ -235,7 +235,7 @@ def test_relation_rejects_members_outside_components():
     h = hyperedges[0]
     idx = c.graph.index_of
     with pytest.raises(InvalidArgumentError, match="belong to the hyperedge"):
-        sps_relation(c, h, idx["8"], idx["2"], c1)
+        sps_relation(c, h, idx["8"], idx["2"])
 
 
 def test_relation_rejects_deeper_level_hyperedges():
@@ -642,13 +642,12 @@ def test_analyze_builds_one_factor_per_node_of_a_one_way_cycle():
 def test_analyze_second_level_relations_equal_sps_relation():
     c = generate(ModelSpec(Family.BATCH_V1))
     found = analyze(c, 2)
-    c1 = cut_graph(c)
     first_count = len(found.levels[0].hyperedges)
     second = found.relations[first_count:]
     hyperedges = found.levels[1].hyperedges
     assert len(second) == len(hyperedges) == 5
     for h, relation in zip(hyperedges, second):
-        assert relation == sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), c1)
+        assert relation == sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b))
     # Each hop of a level-2 term is a first-level factor object; the last factor is the crossing sum.
     first = {id(f) for r in found.relations[:first_count] for f in (r.lhs_factor, r.rhs_factor)}
     products = [

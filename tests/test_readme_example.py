@@ -1,7 +1,9 @@
-"""README's "Library example" block must run as printed against the current API."""
+"""README's shell and "Library example" blocks must run as printed against the current API."""
 from __future__ import annotations
 
-from util import readme_library_example
+from prodform import cli
+
+from util import readme_library_example, readme_shell_commands
 
 
 def test_readme_library_example_runs(capsys):
@@ -11,3 +13,13 @@ def test_readme_library_example_runs(capsys):
         "0 1 q(0,1) | (q(1,0) + q(1,2))",
         "1 2 q(1,2) | q(2,0)",
     ]
+
+
+def test_readme_shell_block_runs_in_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_shell_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        # README: the negative control exits 1 when the swap breaks the relation.
+        expected = cli.EXIT_FAILURE if argv[0] == "verify" and "--fault" in argv else cli.EXIT_OK
+        assert cli.main(argv) == expected, (argv, capsys.readouterr().err)

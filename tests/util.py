@@ -5,6 +5,7 @@ import ast
 import itertools
 import random
 import re
+import shlex
 from functools import cache
 from pathlib import Path
 
@@ -314,3 +315,12 @@ def readme_library_example() -> str:
     match = re.search(r"^## Library example\n+```python\n(.*?)^```", text, re.M | re.S)
     assert match, "README has no python block under '## Library example'"
     return match.group(1)
+
+
+def readme_shell_commands() -> list[list[str]]:
+    """The arguments of each ``prodform`` line in the sh block under README's "Command-line usage"."""
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Command-line usage\n.*?```sh\n(.*?)^```", text, re.M | re.S)
+    assert match, "README has no sh block under '## Command-line usage'"
+    lines = match.group(1).splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("prodform ")]
