@@ -3,7 +3,8 @@
 Commands share one JSON graph schema (nodes, directed edges, optional rates) so
 the same document feeds structural analysis, numeric verification, and export.
 Exit codes are stable: 0 success, 1 verification/equivalence failure, 2 input
-error, 3 structural error, 4 budget exceeded.
+error, 3 structural error, 4 budget exceeded. ``main`` builds only the invoked
+command's argument parser, and all five when the first argument names none.
 """
 from __future__ import annotations
 
@@ -630,72 +631,85 @@ def cmd_export(args: argparse.Namespace) -> int:
 # ---- entry point ----
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each command's name and help line, in the order the top-level help lists them.
+_COMMANDS = {
+    "analyze": "emit the structural analysis report as JSON",
+    "verify": "check every discovered identity numerically",
+    "generate": "write a family instance as a graph document",
+    "oracle": "brute-force checks and conjecture scans",
+    "export": "render the chain (and overlays) as DOT",
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser with only ``argv[0]``'s subparser, or with all five when it names no command."""
     parser = argparse.ArgumentParser(
         prog="prodform",
         description="Structural product-form analysis of formal Markov chains.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="emit the structural analysis report as JSON")
-    p.add_argument("input", help="graph JSON document")
-    p.add_argument("--max-level", type=int, default=1, help="deepest cut level to search")
-    p.add_argument("--out", default=None, help="report path (default stdout)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("verify", help="check every discovered identity numerically")
-    p.add_argument("input", help="graph JSON document")
-    p.add_argument("--seeds", type=int, default=20, help="number of random rate vectors")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
-    p.add_argument(
-        "--fault",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        help="corrupt the k-th relation as a negative control",
-    )
-    p.add_argument("--out", default=None, help="report path (default stdout)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("generate", help="write a family instance as a graph document")
-    p.add_argument("family", choices=sorted(f.value for f in Family))
-    for key in parameter_names():
-        flag = "truncate" if key == "truncation" else key
-        p.add_argument(f"--{flag}", dest=key, metavar=flag.upper(), type=int)
-    p.add_argument("--name", default=None, help="document name (default: family)")
-    p.add_argument("--out", default=None, help="document path (default stdout)")
-    p.add_argument(
-        "--with-fixtures",
-        action="store_true",
-        help="also write pinned expectations next to --out",
-    )
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("oracle", help="brute-force checks and conjecture scans")
-    p.add_argument("input", help="graph JSON document, or 'random' for sampled chains")
-    p.add_argument("--mode", choices=("cuts", "broad"), default="cuts")
-    p.add_argument("--nodes", type=int, default=6, help="node count for random mode")
-    p.add_argument("--samples", type=int, default=200, help="sample count for random mode")
-    p.add_argument("--seed", type=int, default=0, help="base seed for random mode")
-    p.add_argument("--out", default=None, help="report path (default stdout)")
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("export", help="render the chain (and overlays) as DOT")
-    p.add_argument("input", help="graph JSON document")
-    p.add_argument("--dot", default=None, help="DOT output path (default stdout)")
-    p.add_argument(
-        "--annotate",
-        type=int,
-        default=0,
-        help="0 plain graph, 1 adds the first-level overlay, n adds junctions up to level n",
-    )
-    p.set_defaults(func=cmd_export)
+    built = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # With one subparser built, the metavar keeps every command in the top-level usage line.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(built) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in built:
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        # Each cmd_* is read from the module now, so a wrapped or swapped one is the one that runs.
+        if name == "analyze":
+            p.add_argument("input", help="graph JSON document")
+            p.add_argument("--max-level", type=int, default=1, help="deepest cut level to search")
+            p.add_argument("--out", default=None, help="report path (default stdout)")
+            p.set_defaults(func=cmd_analyze)
+        elif name == "verify":
+            p.add_argument("input", help="graph JSON document")
+            p.add_argument("--seeds", type=int, default=20, help="number of random rate vectors")
+            p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+            p.add_argument(
+                "--fault",
+                type=int,
+                nargs="?",
+                const=0,
+                default=None,
+                help="corrupt the k-th relation as a negative control",
+            )
+            p.add_argument("--out", default=None, help="report path (default stdout)")
+            p.set_defaults(func=cmd_verify)
+        elif name == "generate":
+            p.add_argument("family", choices=sorted(f.value for f in Family))
+            for key in parameter_names():
+                flag = "truncate" if key == "truncation" else key
+                p.add_argument(f"--{flag}", dest=key, metavar=flag.upper(), type=int)
+            p.add_argument("--name", default=None, help="document name (default: family)")
+            p.add_argument("--out", default=None, help="document path (default stdout)")
+            p.add_argument(
+                "--with-fixtures",
+                action="store_true",
+                help="also write pinned expectations next to --out",
+            )
+            p.set_defaults(func=cmd_generate)
+        elif name == "oracle":
+            p.add_argument("input", help="graph JSON document, or 'random' for sampled chains")
+            p.add_argument("--mode", choices=("cuts", "broad"), default="cuts")
+            p.add_argument("--nodes", type=int, default=6, help="node count for random mode")
+            p.add_argument("--samples", type=int, default=200, help="sample count for random mode")
+            p.add_argument("--seed", type=int, default=0, help="base seed for random mode")
+            p.add_argument("--out", default=None, help="report path (default stdout)")
+            p.set_defaults(func=cmd_oracle)
+        else:  # export
+            p.add_argument("input", help="graph JSON document")
+            p.add_argument("--dot", default=None, help="DOT output path (default stdout)")
+            p.add_argument(
+                "--annotate",
+                type=int,
+                default=0,
+                help="0 plain graph, 1 adds the first-level overlay, n adds junctions up to level n",
+            )
+            p.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NotStronglyConnectedError as err:

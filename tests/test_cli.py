@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -640,6 +641,74 @@ def test_export_is_deterministic(tmp_path):
     assert cli.main(["export", path, "--annotate", "1", "--dot", first]) == cli.EXIT_OK
     assert cli.main(["export", path, "--annotate", "1", "--dot", second]) == cli.EXIT_OK
     assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+# ---- argument parsing ----
+
+
+_ARGV_CASES = [
+    [],
+    ["-h"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["bogus"],
+    *([name] for name in cli._COMMANDS),
+    ["analyze", "x", "--bogus"],
+    ["verify", "x", "--seeds", "abc"],
+    ["generate", "nosuch"],
+    ["analyze", "x", "--max-level", "2", "--out", "r.json"],
+    ["verify", "x", "--seeds", "3", "--tol", "1e-6", "--fault"],
+    ["generate", "qbd", "--blocks", "4", "--with-fixtures", "--out", "d.json"],
+    ["oracle", "random", "--mode", "broad", "--nodes", "5", "--samples", "9", "--seed", "2"],
+    ["export", "x", "--annotate", "2", "--dot", "g.dot"],
+]
+
+
+def _parse_outcome(parse, argv: list[str], capsys) -> tuple:
+    """What ``parse(argv)`` prints, its exit code when it exits, and what it returns."""
+    try:
+        result, code = parse(argv), None
+    except SystemExit as stop:
+        result, code = None, stop.code
+    out, err = capsys.readouterr()
+    return out, err, code, result
+
+
+@pytest.mark.parametrize("argv", _ARGV_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_the_parser_with_every_command(argv, monkeypatch, capsys):
+    # Comparing with the full parser in this interpreter keeps the test free of
+    # version-specific help text, such as 3.10's "optional arguments:".
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in cli._COMMANDS:
+        # Each stub returns the parsed Namespace, so main returns it.
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: args)
+    full = _parse_outcome(cli._build_parser([]).parse_args, argv, capsys)
+    assert _parse_outcome(cli.main, argv, capsys) == full
+
+
+def test_a_named_command_builds_only_its_own_parser(tmp_path, monkeypatch):
+    path = _generate(tmp_path, "bd")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["analyze", path, "--out", str(tmp_path / "report.json")]) == cli.EXIT_OK
+    assert len(built) <= 2
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    assert len(built) == 6
+
+
+def test_main_runs_the_cmd_the_module_holds_at_call_time(tmp_path, monkeypatch):
+    path = _generate(tmp_path, "bd")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.input) or 7)
+    assert cli.main(["verify", path]) == 7
+    assert seen == [path]
 
 
 # ---- dependencies ----
