@@ -5,6 +5,10 @@ the same document feeds structural analysis, numeric verification, and export.
 Exit codes are stable: 0 success, 1 verification/equivalence failure, 2 input
 error, 3 structural error, 4 budget exceeded. ``main`` builds only the invoked
 command's argument parser, and all five when the first argument names none.
+``verify`` checks every relation, and the cuts of level 2 and up as rows named
+by their level and sources; a level-1 cut's balance is its relation, so it has
+no row of its own. ``oracle random --mode cuts`` refuses ``--nodes`` over the
+oracle's budget before it draws a chain.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from .higher_level import Analysis, _first_level, analyze, broad_pair_scan, high
 from .models import Family, FixtureBundle, ModelSpec, expected_fixtures, parameter_names
 from .models import generate as generate_model
 from .numeric import (
+    _ORACLE_NODE_BUDGET,
     RateAssignment,
     cut_residuals,
     enumerate_sourced_cuts,
@@ -329,7 +334,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     labels = c.graph.labels
     found = analyze(c, max_level=2)
     relations = found.relations
-    cuts = [h.cut for lv in found.levels for h in lv.hyperedges]
+    # A level-1 cut's balance is its relation, pi_i * f_ij = pi_j * f_ji, whose factors
+    # are the crossing sums out of the cut's two sources; only higher levels need cut rows.
+    hyperedges = [(lv.level, h.cut) for lv in found.levels[1:] for h in lv.hyperedges]
+    cuts = [cut for _, cut in hyperedges]
     fault_name = None
     if args.fault is not None:
         if not relations:
@@ -351,7 +359,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         relation_worst = list(map(max, relation_worst, relation_residuals(pi, rates, relations)))
         cut_worst = list(map(max, cut_worst, cut_residuals(pi, rates, cuts)))
     overall = max(relation_worst + cut_worst, default=0.0)
-    names = _set_names(labels)
     report = {
         "name": doc.name,
         "assignments": [name for name, _ in assignments],
@@ -365,12 +372,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
             for k, r in enumerate(relations)
         ],
+        # Named as analyze names its hyperedges: a level has one per component pair.
         "cuts": [
             {
-                "side_a": names(cut.side_a),
+                "level": level,
+                "source_i": _names(labels, cut.source_a),
+                "source_j": _names(labels, cut.source_b),
                 "worst_residual": cut_worst[k],
             }
-            for k, cut in enumerate(cuts)
+            for k, (level, cut) in enumerate(hyperedges)
         ],
         "max_residual": overall,
         "fault": fault_name,
@@ -548,6 +558,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     for flag, value, least in (("--samples", args.samples, 1), ("--nodes", args.nodes, 2)):
         if value < least:
             raise InvalidArgumentError(f"{flag} must be at least {least}, got {value}")
+    # Refused before any chain is drawn: drawing one costs n^2 random numbers.
+    if args.mode == "cuts" and args.nodes > _ORACLE_NODE_BUDGET:
+        raise ResourceLimitError(
+            f"--nodes {args.nodes} exceeds the exhaustive cut enumeration budget of {_ORACLE_NODE_BUDGET}"
+        )
     rng = random.Random(args.seed)
     chains = (_random_chain(rng, args.nodes) for _ in range(args.samples))
     report = {"mode": args.mode, "samples": args.samples, "nodes": args.nodes, "seed": args.seed}

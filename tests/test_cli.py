@@ -152,6 +152,23 @@ def test_exit_code_for_budget(tmp_path):
     assert cli.main(["oracle", path, "--mode", "cuts"]) == cli.EXIT_BUDGET
 
 
+def test_oracle_random_cuts_refuses_nodes_over_the_budget_before_drawing(monkeypatch, capsys):
+    def drawn(rng, n):
+        raise AssertionError(f"a {n}-node chain was drawn")
+
+    monkeypatch.setattr(cli, "_random_chain", drawn)
+    capsys.readouterr()
+    argv = ["oracle", "random", "--mode", "cuts", "--samples", "1", "--nodes"]
+    assert cli.main([*argv, "21"]) == cli.EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the exhaustive cut enumeration budget of 20" in captured.err
+    # The budget itself is admitted, and broad mode still draws and reports what it skips.
+    for mode, nodes in (("cuts", "20"), ("broad", "21")):
+        with pytest.raises(AssertionError, match=f"a {nodes}-node chain was drawn"):
+            cli.main(["oracle", "random", "--mode", mode, "--samples", "1", "--nodes", nodes])
+
+
 def test_exit_code_for_invalid_parameters(tmp_path):
     assert cli.main(["generate", "bd", "--n", "1"]) == cli.EXIT_INPUT
     assert cli.main(["generate", "ladder", "--truncate", "3"]) == cli.EXIT_INPUT
@@ -365,7 +382,15 @@ def test_verify_covers_second_level_cuts(tmp_path):
     levels = {r["level"] for r in report["relations"]}
     assert levels == {"S", "SPS"}
     assert len(report["relations"]) == 14 + 5
-    assert len(report["cuts"]) == 14 + 5
+    # The 14 level-1 cuts are checked as their relations, so only the 5 level-2 cuts get rows,
+    # each named by its level and sources as analyze names the hyperedge.
+    assert len(report["cuts"]) == 5
+    analyzed = str(tmp_path / "analyze.json")
+    assert cli.main(["analyze", path, "--max-level", "2", "--out", analyzed]) == cli.EXIT_OK
+    (level2,) = _read_json(analyzed)["levels"]
+    assert [{k: row[k] for k in ("level", "source_i", "source_j")} for row in report["cuts"]] == [
+        {"level": 2, "source_i": h["source_i"], "source_j": h["source_j"]} for h in level2["hyperedges"]
+    ]
 
 
 @pytest.mark.parametrize("family", sorted(f.value for f in Family))
@@ -373,7 +398,8 @@ def test_verify_report_residuals_equal_the_reference_loop(tmp_path, family: str)
     path = _generate(tmp_path, family)
     _, c, _ = cli._load(path)
     found = analyze(c, max_level=2)
-    cuts = [h.cut for lv in found.levels for h in lv.hyperedges]
+    # Level-1 cuts are checked as their relations; the cut rows are levels 2 and up.
+    cuts = [h.cut for lv in found.levels[1:] for h in lv.hyperedges]
     out = str(tmp_path / "verify.json")
     for seeds, fault in ((2, False), (1, True)):
         flags = ["--seeds", str(seeds)] + (["--fault"] if fault else [])
@@ -399,6 +425,32 @@ def test_verify_report_residuals_equal_the_reference_loop(tmp_path, family: str)
         assert [entry["worst_residual"] for entry in report["cuts"]] == cut_worst
         assert report["max_residual"] == max(relation_worst + cut_worst, default=0.0)
         assert code == (cli.EXIT_FAILURE if fault else cli.EXIT_OK)
+
+
+# Report bytes per row: a relation row names two nodes, a cut row its two source sets.
+# A row that listed a cut side would take about n labels, over 400 bytes on both chains.
+ROW_BYTES = 200
+
+
+@pytest.mark.parametrize(
+    "flags", [("oneway", "--n", "120"), ("batchv1", "--truncate", "40")], ids=["oneway-120", "batchv1-40"]
+)
+def test_verify_report_bytes_grow_with_its_rows(tmp_path, flags):
+    path = _generate(tmp_path, *flags)
+    out, analyzed = str(tmp_path / "verify.json"), str(tmp_path / "analyze.json")
+    assert cli.main(["verify", path, "--seeds", "3", "--out", out]) == cli.EXIT_OK
+    report = _read_json(out)
+    rows = len(report["relations"]) + len(report["cuts"])
+    assert os.path.getsize(out) < ROW_BYTES * rows
+    assert all(set(row) == {"lhs", "rhs", "level", "worst_residual"} for row in report["relations"])
+    # Each cut row lists its two sources, never the whole side either lies in.
+    assert cli.main(["analyze", path, "--max-level", "2", "--out", analyzed]) == cli.EXIT_OK
+    hyperedges = [h for lv in _read_json(analyzed)["levels"] for h in lv["hyperedges"]]
+    assert len(report["cuts"]) == len(hyperedges)
+    for row, h in zip(report["cuts"], hyperedges):
+        assert set(row) == {"level", "source_i", "source_j", "worst_residual"}
+        assert (row["source_i"], row["source_j"]) == (h["source_i"], h["source_j"])
+        assert len(row["source_i"]) < len(h["cut_a"]) and len(row["source_j"]) < len(h["cut_b"])
 
 
 # ---- generate ----

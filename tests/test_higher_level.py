@@ -27,12 +27,21 @@ from prodform import (
     sps_relation,
 )
 from prodform import cli, higher_level, product_form
-from prodform.factors import ProductExpr
+from prodform.factors import LEVEL_S, ProductExpr
 from prodform.graph_core import DirectedGraph, NodeSet, _blocks, connectivity_witness
 from prodform.numeric import random_rates, stationary, verify_relation
 from prodform.product_form import _sources
 
-from util import bipartition_sources, glued_chain, random_strongly_connected
+from util import (
+    atom_edges,
+    bipartition_sources,
+    corpus,
+    corpus_chain,
+    glued_chain,
+    random_strongly_connected,
+    reference_cut_residual,
+    reference_relation_residual,
+)
 
 
 def _labels(c: FormalChain, s: NodeSet) -> frozenset[str]:
@@ -656,6 +665,64 @@ def test_analyze_second_level_relations_equal_sps_relation():
     ]
     assert products
     assert all(id(f) in first for p in products for f, _ in p.factors[:-1])
+
+
+# ---- level-1 cuts are their relations ----
+
+
+def _assert_first_level_cuts_are_their_relations(c: FormalChain) -> int:
+    """Each level-1 cut has one S relation on its pair whose factors are its crossing sums.
+
+    ``verify`` writes no row for a level-1 cut, since its balance is that
+    relation: the residuals of the two agree under every rate seed checked.
+    Returns the number of level-1 cuts.
+    """
+    g = c.graph
+    found = analyze(c, 2)
+    s_relations: dict[tuple[int, int], list] = {}
+    for r in found.relations:
+        if r.level == LEVEL_S:
+            s_relations.setdefault((r.lhs_node, r.rhs_node), []).append(r)
+    pairs = []
+    for h in found.levels[0].hyperedges:
+        cut = h.cut
+        (i,), (j,) = cut.source_a, cut.source_b
+        (r,) = s_relations[min(i, j), max(i, j)]
+        crossing = {
+            i: frozenset((u, v) for u, v in g.edge_list if u == i and v in cut.side_b),
+            j: frozenset((u, v) for u, v in g.edge_list if u == j and v in cut.side_a),
+        }
+        assert atom_edges(r.lhs_factor) == crossing[r.lhs_node]
+        assert atom_edges(r.rhs_factor) == crossing[r.rhs_node]
+        pairs.append((cut, r))
+    for seed in range(3) if pairs else ():
+        rates = random_rates(c, seed)
+        pi = stationary(c, rates)
+        for cut, r in pairs:
+            difference = reference_cut_residual(pi, rates, cut) - reference_relation_residual(pi, rates, r)
+            assert abs(difference) <= 1e-15
+    return len(pairs)
+
+
+@pytest.mark.parametrize("family", sorted(f.value for f in Family))
+def test_first_level_cuts_are_their_relations_on_families(family):
+    # twoway has no level-1 cut, and every other family has some.
+    assert (_assert_first_level_cuts_are_their_relations(generate(ModelSpec(Family(family)))) > 0) == (
+        family != "twoway"
+    )
+
+
+def test_first_level_cuts_are_their_relations_on_the_corpus():
+    assert sum(_assert_first_level_cuts_are_their_relations(corpus_chain(*entry)) for entry in corpus()) > 0
+
+
+def test_first_level_cuts_are_their_relations_on_random_chains():
+    rng = random.Random(2121)
+    cuts = 0
+    for _ in range(200):
+        c = FormalChain(random_strongly_connected(rng, rng.randint(2, 12), rng.uniform(0.0, 0.4)))
+        cuts += _assert_first_level_cuts_are_their_relations(c)
+    assert cuts > 200
 
 
 # ---- serialization ----

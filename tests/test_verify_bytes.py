@@ -3,9 +3,11 @@
 Three runs are pinned per chain: ``--seeds 3``, ``--seeds 1 --fault`` and
 ``--seeds 2 --fault 7``. The chains are every family at its default size and
 the eight seeded random chains of ``test_analyze_bytes.py``, and its two
-larger ``SIZED`` chains. The digests were recorded before relations shared
-their factors, the ``SIZED`` ones before cut sides were read as byte columns.
-Any change to what ``verify`` prints, down to key order, float digits and
+larger ``SIZED`` chains. The digests were re-recorded when ``verify`` stopped
+writing a row per level-1 cut, since such a cut's balance is its relation,
+and began naming each cut row of level 2 and up by its level and sources
+instead of side A's labels. The 12 that held are the runs with no cut row:
+the empty fault runs, ``twoway`` and three random chains. Any change to what ``verify`` prints, down to key order, float digits and
 whitespace, changes a digest. A deliberate change of the report must record
 new digests and say why.
 """
@@ -32,54 +34,54 @@ RUNS = {
 # random-7 have no relation to fault, so their fault runs exit 2 and print nothing.
 DIGESTS: dict[str, dict[str, tuple[int, str]]] = {
     "batchv1": {
-        "fault": (1, "a4b287522d55b0b4fce504a220a35d0f13f12627f718b4357b140f2f26bccd5c"),
-        "fault7": (1, "6e4065cc7f51b5d9191202aefd5fc87a81062e70287dcb43e965449fb25ca696"),
-        "seeds3": (0, "167a61591e458240e89053114347cca2a035c9385bb9ba9cbd00ff99a1c1561c"),
+        "fault": (1, "90bbfedc7cb2a4443b2ed34b5a5099d1047e196729495ba9344b50f9878235a0"),
+        "fault7": (1, "86febaead318a08d8e2ca149ed6f763e6d8d1548bfe7cb9080f3a0630f649fd5"),
+        "seeds3": (0, "929e815386e269bec4392ec804fb111b8a32e3312937caabb4e5d57dc2d369fe"),
     },
     "batchv2": {
-        "fault": (1, "5edb189594ba4e19ca5beeac7c4757e52bcca17354af984c5da46ec312ca52c8"),
-        "fault7": (1, "d29a9372df1fae39b52d1152bfa0963f4548533cf636955907cc7841da10d833"),
-        "seeds3": (0, "7f61326c1b63637383ed1e14c660a96272e4789b3dd31bdfd5f5fa583060a150"),
+        "fault": (1, "cb72e69e49feaeb36126f9fe77a7546e4ec9ed97f22e6baf617c39743b2a61f8"),
+        "fault7": (1, "ecea0557b22f60dfc367fcd92f319493e0a5e4388610953519fceeb23ab90082"),
+        "seeds3": (0, "8ee33e2e4afcc6b0dc0e0ffd3ddf10723662daacda520d335132e31794eaae1d"),
     },
     "bd": {
-        "fault": (1, "bae59bfcae51cf1f3dcb5c9d6ff5e2631e49a13668fd57c9d1874dd55a1a8ef8"),
-        "fault7": (1, "ba19a64da1f777d593b182a6cfd9fe2f7156b039ba9d919470b02b45b59b267b"),
-        "seeds3": (0, "56d380782a3854dbd2f82b598839c50fd8ed5103e0792fd9de4fa46ccc3d52a6"),
+        "fault": (1, "2dd5738acd05b694f2fefd2371c70ae379cc3d6ce9e2a871a8bf8c3b78bf9b2a"),
+        "fault7": (1, "c5407ecbd92feccd7e3fb2c1d4ebb611cbe0d5f44bc2cb0d78353ec26b6c0479"),
+        "seeds3": (0, "26cbfae6136fa5f7573e3afe0a4a234605e9b783d174795145ebed549cded480"),
     },
     "ladder": {
-        "fault": (1, "a330810e7e76a7dbe0126af35325208240d7ce94949f37b93f63925739a93996"),
-        "fault7": (1, "67d20061af7da91e2f235813f1ba969cd0d1f43b0809802e016dda310b11fcff"),
-        "seeds3": (0, "84635c76729eddbb9f26571737f536ea8ae71b229206741e9faf52b3318fb9a3"),
+        "fault": (1, "ac71723ea57861f171b76dd7c0b444f2578a4126a0b24e69e440c2b502d33bef"),
+        "fault7": (1, "de08d4070f3b5a677f7eeec02ed239c7811c3f051a38fc258fe30ed491b3329b"),
+        "seeds3": (0, "5909d0cb71f7e0bbad6b5eaeedf06038bb39cb1497bec9a7896f7724c60397cd"),
     },
     "msj": {
-        "fault": (1, "a2d3cf4429d51413db37eddd3d295ac3b1e4cad542a36f311fd85919033d8702"),
-        "fault7": (1, "878ee854481e7ccbcf6684eda05f80de005ded247fe1d9b9b1350c7b7f118d00"),
-        "seeds3": (0, "06ecadca73f64b26bb776779191b410c5093844cdfa36b9222a43a6aa8efee29"),
+        "fault": (1, "74a88101fdd05c1591f49eb2f2e211710b1aee2b5128d84a1ecbe7e51c993c49"),
+        "fault7": (1, "5239a38f0fcdeaff88a82ca24aa0d13a71ecbd3ff4f6ef9d53d0e0c31ceea7c5"),
+        "seeds3": (0, "9acdde6105c8ca2c7ceadb1dd51f845a62e6e4910e7abe636ff152604a57bd33"),
     },
     "oneway": {
-        "fault": (1, "5ac2853d7db6aafe7d1b0f66e018f0f01a06385b4ba89e4588cf87c8a432d7d3"),
-        "fault7": (1, "3cd53842f9e90620680224c4c02a4ed8fafb564fc9081e38fc5f2f0598dde117"),
-        "seeds3": (0, "655097c51dd539751f88a89da598c146189cbd3772ff7acbe422b06373165b5f"),
+        "fault": (1, "6442f2a5752088a07b2d6e363909bbde9bdcff37606ed78929e9547584aa9b3d"),
+        "fault7": (1, "a77aae22cfd54df8605b45002bf56ec50de343675fb52fd41fb272a230b8bfdf"),
+        "seeds3": (0, "ac573561f92fe0261e164e5fd748257198b950f58d21362a922a089a2b889e05"),
     },
     "onewayplus": {
-        "fault": (1, "8c993404da00d33282b6b92efee55ad6d30483e7b095cb916bca42bf90751990"),
-        "fault7": (1, "8b452d2cf354b96ed7d7d0d361c1b4ec75aec605da6752457ad33b4a1eeaabfd"),
-        "seeds3": (0, "727be43249f1c5715286ea8802cf082079016f78ed2f1b7816cd75396c4ab403"),
+        "fault": (1, "865e9e7b0c6ec578ac4d20a3ba77e69470bfa9eccc624d91e9e436c2778b92fd"),
+        "fault7": (1, "13e438bbd54ec6961423f36801a21864eaad12c5281d456a1307595b37b080dc"),
+        "seeds3": (0, "7cbc9040c4b77f81bdc210a737a61df8522810b420d8261e4fd679deae393141"),
     },
     "qbd": {
-        "fault": (1, "879ca46f13c18c57950d6b255269bd0c88f4e79769e8cfef954901200ab02e25"),
-        "fault7": (1, "ff2c0856784af35eed8f3e130a952677e6667b6015c50d0a42db4479d50f7671"),
-        "seeds3": (0, "2784b540b9e37db07c6cf5d7d834c2b079d9d9ffe49fdc2969d9720b35d61522"),
+        "fault": (1, "e94c905bd7b1d3a5866f84b6176f8b7b8708ad0e240f4481f833e4ff58f18aa1"),
+        "fault7": (1, "ab426a76915cf5204760e2f2135307981b10c1949186e945b7ba7bb5a20d22df"),
+        "seeds3": (0, "bbcbd2b1d38b14983653cf3e527954bafda6a7245dcf1712705f68fbf13b6a35"),
     },
     "ring": {
-        "fault": (1, "1114d72d142ce3d767624bdc916b187f50416d06970ebfb343ed1726356f8893"),
-        "fault7": (1, "29012f9003e836415b56275edcb4f544505e79d0c7ae994c17e7e38a801117a9"),
-        "seeds3": (0, "b28d1b7d504a2d2d67f37a28da79b5ce8aa1232ee8fb95c1a17c3b8be327ea3b"),
+        "fault": (1, "a29aec570709b495a1fe6943479c4fbfe0d03b7e6201c75c745460b3024ab0bc"),
+        "fault7": (1, "23a5caa56a35d6d1e86854f2e6c4ee2bac0fc3acc1d46ef3ae611e3b0b4386c7"),
+        "seeds3": (0, "4b1e2e8b38845427c48335e8956f8807327b009dc4863860399b6232cf54f100"),
     },
     "tree": {
-        "fault": (1, "6211ac05f16fd25babd497fd1930f50ac1e333942eb8cb5017f0ae9840fcc65c"),
-        "fault7": (1, "5733fcced4e86b77bc8008bdb555b3cea91dc68ba98888e4a2ba26ca13a65f16"),
-        "seeds3": (0, "62edbd720fc8b69da9ce0a3b3925f664301c8fbd9c0747ae743670ef7cf231e8"),
+        "fault": (1, "4124d6c72be40c6bb6afe5e735dac346a4eeacd42f1aa099e7c3a438c330a3e5"),
+        "fault7": (1, "c9394392e71cbb004c9940904a4baac4505fc9ae6808c8559320c1b7c062b944"),
+        "seeds3": (0, "4b51dab13c8701aed013a0bedfe0668467b34f537add6f0e977691072613af7e"),
     },
     "twoway": {
         "fault": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -87,14 +89,14 @@ DIGESTS: dict[str, dict[str, tuple[int, str]]] = {
         "seeds3": (0, "b1f8a4e4793174b6c2ba24d13048f49e7d0897ec03ece85930214a3a4eba78f1"),
     },
     "oneway-70": {
-        "fault": (1, "3072fa6dc108ce5b04210fe0d149400b6b499ca321f22cb716ef62b528c8d70e"),
-        "fault7": (1, "ef37678d8839cbdf0417b08bb5ef0642eeef86d32e6f965c1684fc427e1d5976"),
-        "seeds3": (0, "44d76e2e17002da973400631f2702fe67678afae30ddc82e44b573f4b947d9ae"),
+        "fault": (1, "e00da4e0886b001219b9c2a8010e1a7288c05627903b6126dd8d8e00f0041e74"),
+        "fault7": (1, "670efc2952fafa35d1f0feb86f030a10c7d6d6c053af371843e287e9a9361652"),
+        "seeds3": (0, "f47c225b7ec03466029daecad8707216f18e250b45123017439c8f040e6065f8"),
     },
     "qbd-16x5": {
-        "fault": (1, "1d15b38a92dfe543e18063083ec0f5a3b305a55dbf656cce0cb93473f5cc1c20"),
-        "fault7": (1, "82ea0905a3e97c931ac9842bc007443084437266944cfd5c734a60628e532885"),
-        "seeds3": (0, "557410ef5edf1d8e295342d3075d7b02b19f4f713ec4eef2b2d8c622b37eb602"),
+        "fault": (1, "e4d23e09f028093cc2317fe9f8b328f537094b4427b0a38192f8bcdb9109967f"),
+        "fault7": (1, "8b2d9a5b3ac7b2833670e53a0ad670b001bae973d5622617a4973702197e0f65"),
+        "seeds3": (0, "51a4dd0c78212c00720df162a1543043af1bc44613ffc1172375049d7b2b03da"),
     },
     "random-0": {
         "fault": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -102,29 +104,29 @@ DIGESTS: dict[str, dict[str, tuple[int, str]]] = {
         "seeds3": (0, "f74f840694014e0047e60c7816754c6d2a8c612253d34f2ffd475cf5397d512a"),
     },
     "random-1": {
-        "fault": (1, "da24591d5955bbed927c99ffe6808cede2e5ee11b6f20b9e281df1d8dc9b0720"),
-        "fault7": (1, "dac95469ae547eb3c8861f5667f56612fed952c19b77cd170e0cf952640770ba"),
-        "seeds3": (0, "5a89e781aa964b459cb4bceebd0aeeabad9f363329f22e8456eeaac40e81b7ce"),
+        "fault": (1, "c8fa290339d56c38a34a62d5b17414406df690d7ad918a61bc5b960e720e3f73"),
+        "fault7": (1, "84a8592e8e893dbd27866000220bd5b98aa132e9e8386c2f9e4453db1566ad26"),
+        "seeds3": (0, "61339e561e4f305f71b8df5f88419b6da1823da0f23dd7682f205c69f18595a5"),
     },
     "random-2": {
-        "fault": (1, "da50291b2b2ada052a4b416823d76857c851bafef0f7fc0cdfc4f35a1258f464"),
-        "fault7": (1, "8638b3069e9d33e32c960dbdeed684e8663fac85dcec239241f53fcad0062185"),
-        "seeds3": (0, "08805a5cce71f1e1f0c7f66c77f0a8315f0b8aa05e1f1f58ed1f9902f5205d3f"),
+        "fault": (1, "7deb4523b9603d48df3f9b2ad0c1491884056097214705f0ed50277849988b23"),
+        "fault7": (1, "384bd54bbf5ae62c5803c73cd6adb38a1d09a4187943e796e999184bef74ec25"),
+        "seeds3": (0, "05e56aa7ff73bd194f2215f3d4efb5d03e0906c813ce867a2b68590680bf68a0"),
     },
     "random-3": {
-        "fault": (1, "87652fec39207ec8847c28e0e850904374aba3d95dc5aa6c086bf421f51d4459"),
-        "fault7": (1, "c86156b6d5d09ff91fa3a412efbf9ceadadc72eb0f68c1d35d378197953e4449"),
-        "seeds3": (0, "cda6896909ac997b35b90095d7f3dd75024b9b69e67bb762a7248c2eb20e5cfe"),
+        "fault": (1, "718bb7583b6078bb46c80a410452aa6ff21c7df99ccba7f288cea840d35d469a"),
+        "fault7": (1, "6e4fe699dd085de1eb056f7627571c7db95f898b46e47a874c3dc0f48de1ac38"),
+        "seeds3": (0, "c37b9d385b4cf1f9b51e6435576a9f055c6708c2f75c418c56cd52f4e3cb724f"),
     },
     "random-4": {
-        "fault": (1, "0f61c0f07f03798430541cf35e68aee43f8356567b941c904854b68412afc21e"),
-        "fault7": (1, "3ff9d80b10e0259c5d73b76cec7c98edac93042d178ad64791bf36d45f55a3f2"),
-        "seeds3": (0, "b29eda64bed1182f77bc37c6961a0568864597edb12ae1b516588e0710c10834"),
+        "fault": (1, "a63eff678b3557768daeb5f0bff544ec770e94064cdedd41fe9a7c2f075309e7"),
+        "fault7": (1, "9a9d5c0b3a8b58cf478580f94d52aa58e79147927c6b4c16d4c659890d021a3b"),
+        "seeds3": (0, "2f6707438d13e36c36957f6baa634b4594f899b019998fe5f572b6916f18d22d"),
     },
     "random-5": {
-        "fault": (1, "c88d2121eb063489aad41a6df8b6f278d87db3f2e2fb5ec4cb6c3d7c7365e2af"),
-        "fault7": (1, "37e251f7052edd0a8c0d701db636dcc5d6bd936ebc877326f9065d0a04bae71d"),
-        "seeds3": (0, "5370970b2e9241aba1e176b0dc26bc2fa305e61d256bb768ad0868a15c454eaf"),
+        "fault": (1, "92271513ec3b55d6039c172ee3a8dbb18e79db2f56a89c19edba852188afb0f0"),
+        "fault7": (1, "73b7c0fd37176f53f85126aae8c29efcff52a8a6962a32b44363b37f2b8685a4"),
+        "seeds3": (0, "166d84ae7d92e597b494f95be8346da9a29e6aa046e1687cb1f12fabfa2fba37"),
     },
     "random-6": {
         "fault": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
