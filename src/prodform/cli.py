@@ -3,8 +3,11 @@
 Commands share one JSON graph schema (nodes, directed edges, optional rates) so
 the same document feeds structural analysis, numeric verification, and export.
 Exit codes are stable: 0 success, 1 verification/equivalence failure, 2 input
-error, 3 structural error, 4 budget exceeded. ``main`` builds only the invoked
-command's argument parser, and all five when the first argument names none.
+error, 3 structural error, 4 budget exceeded; a document that is not UTF-8
+text or nests too deeply to parse is an input error. ``main`` builds only the
+invoked command's argument parser, and all five when the first argument names
+none. The ``analyze`` report writes each distinct factor once, in a ``factors``
+table that relation rows index, and only side A of a hyperedge's cut.
 ``verify`` checks every relation, and the cuts of level 2 and up as rows named
 by their level and sources; a level-1 cut's balance is its relation, so it has
 no row of its own. ``oracle random --mode cuts`` refuses ``--nodes`` over the
@@ -17,7 +20,6 @@ import json
 import math
 import random
 import sys
-from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields
 from itertools import compress
@@ -91,6 +93,8 @@ def parse_document(text: str) -> GraphDocument:
         ) from None
     except ValueError as exc:  # an integer literal over the int-to-str digit limit
         raise InvalidArgumentError(f"parse error: {exc}") from None
+    except RecursionError:
+        raise InvalidArgumentError("parse error: the document nests too deeply") from None
     if not isinstance(raw, dict):
         raise InvalidArgumentError("document must be a JSON object")
     name = raw.get("name", "")
@@ -161,34 +165,26 @@ def emit_document(
 
 def _load(path: str) -> tuple[GraphDocument, FormalChain, RateAssignment | None]:
     with open(path, encoding="utf-8") as handle:
-        doc = parse_document(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    doc = parse_document(text)
     c, rates = document_to_chain(doc)
     return doc, c, rates
-
-
-class _Shared(dict):
-    """A JSON object that several places of one payload hold; ``_json_text`` renders it once per indent."""
-
-    __slots__ = ("texts",)
-
-    def __init__(self, value: dict):
-        super().__init__(value)
-        self.texts: dict[str, str] = {}
 
 
 def _json_text(value: object, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` byte for byte, one ``str.join`` per container.
 
+    Every value is rendered where it stands, with no cache: a report that shares
+    a value writes it once in a table and refers to it by index, as ``analyze``
+    does with its factors.
     ``indent`` is the newline and indent before the closing bracket. Numbers use
     ``int.__repr__``/``float.__repr__``, so a subclass of ``int`` or ``float``
     prints as a plain number.
     A non-string key or a value of any other type raises ``TypeError``.
     """
-    if type(value) is _Shared:
-        text = value.texts.get(indent)
-        if text is None:
-            text = value.texts[indent] = _json_text(dict(value), indent)
-        return text
     if isinstance(value, dict):
         inner = indent + "  "
         # String items are quoted in place, which saves a call per label.
@@ -255,29 +251,13 @@ def _set_names(labels: Sequence[str]) -> Callable[[NodeSet], list[str]]:
     return names
 
 
-def _share_factors(relations: list[dict]) -> list[dict]:
-    """Mark each factor object that several relations hold, so it is rendered once per indent."""
-    sides = ("lhs_factor", "rhs_factor")
-    count = Counter(id(r[side]) for r in relations for side in sides)
-    # Keyed by the id of a factor object, which the value keeps alive.
-    shared: dict[int, tuple[dict, _Shared]] = {}
-    for r in relations:
-        for side in sides:
-            factor = r[side]
-            if count[id(factor)] > 1:
-                if id(factor) not in shared:
-                    shared[id(factor)] = factor, _Shared(factor)
-                r[side] = shared[id(factor)][1]
-    return relations
-
-
 def _report_body(c: FormalChain, found: Analysis) -> dict:
-    """The ``first_level`` and ``levels`` entries of the analyze report."""
+    """The ``factors``, ``first_level`` and ``levels`` entries of the analyze report."""
     labels = c.graph.labels
     names = _set_names(labels)
     first, *higher = found.levels
     first_count = len(first.hyperedges)
-    relations = _share_factors(relations_to_json(found.relations, labels))
+    factors, relations = relations_to_json(found.relations, labels)
     first_level = {
         "edges": [_names(labels, (h.comp_i, h.comp_j)) for h in first.hyperedges],
         "components": [names(comp) for comp in first.components],
@@ -292,7 +272,6 @@ def _report_body(c: FormalChain, found: Analysis) -> dict:
                     "source_i": names(h.cut.source_a),
                     "source_j": names(h.cut.source_b),
                     "cut_a": names(h.cut.side_a),
-                    "cut_b": names(h.cut.side_b),
                 }
                 for h in lv.hyperedges
             ],
@@ -301,7 +280,7 @@ def _report_body(c: FormalChain, found: Analysis) -> dict:
         if lv.level == 2:
             entry["relations"] = relations[first_count:]
         levels.append(entry)
-    return {"first_level": first_level, "levels": levels}
+    return {"factors": factors, "first_level": first_level, "levels": levels}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -294,33 +294,41 @@ def format_factor(e: FactorExpr, labels: Sequence[str]) -> str:
 
 
 def relation_to_json(r: Relation, labels: Sequence[str]) -> dict:
-    return relations_to_json([r], labels)[0]
+    """One relation's row with its two factors written in place, not as table indices."""
+    factors, (row,) = relations_to_json([r], labels)
+    return {**row, "lhs_factor": factors[row["lhs_factor"]], "rhs_factor": factors[row["rhs_factor"]]}
 
 
-def relations_to_json(relations: Sequence[Relation], labels: Sequence[str]) -> list[dict]:
-    """``relation_to_json`` of each relation, formatting each distinct factor once.
+def relations_to_json(
+    relations: Sequence[Relation], labels: Sequence[str]
+) -> tuple[list[dict], list[dict]]:
+    """A factor table and one row per relation, whose factors are indices into the table.
 
-    Factors are told apart by identity: relations that hold the same factor
-    object get the same JSON dict for it, built and measured once.
+    The table holds ``factor_to_json`` of each distinct factor object once, told
+    apart by identity, in the order the relations first hold it (hash-consing), so
+    a factor that many relations share is formatted, measured and written once.
     """
-    done: dict[int, tuple[dict, CircuitStats]] = {}
+    index: dict[int, int] = {}
+    factors: list[dict] = []
+    stats: list[CircuitStats] = []
     for r in relations:
         for e in (r.lhs_factor, r.rhs_factor):
-            if id(e) not in done:
-                done[id(e)] = factor_to_json(e, labels), circuit_stats(e)
-    out = []
+            if id(e) not in index:
+                index[id(e)] = len(factors)
+                factors.append(factor_to_json(e, labels))
+                stats.append(circuit_stats(e))
+    rows = []
     for r in relations:
-        json_l, stats_l = done[id(r.lhs_factor)]
-        json_r, stats_r = done[id(r.rhs_factor)]
-        out.append({
+        lhs, rhs = index[id(r.lhs_factor)], index[id(r.rhs_factor)]
+        rows.append({
             "lhs": labels[r.lhs_node],
             "rhs": labels[r.rhs_node],
             "level": r.level.name,
-            "lhs_factor": json_l,
-            "rhs_factor": json_r,
+            "lhs_factor": lhs,
+            "rhs_factor": rhs,
             "circuit": {
-                "depth": max(stats_l.depth, stats_r.depth),
-                "size": stats_l.size + stats_r.size,
+                "depth": max(stats[lhs].depth, stats[rhs].depth),
+                "size": stats[lhs].size + stats[rhs].size,
             },
         })
-    return out
+    return factors, rows

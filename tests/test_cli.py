@@ -135,6 +135,21 @@ def test_exit_code_for_missing_file():
     assert cli.main(["analyze", "/nonexistent/chain.json"]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "oracle", "export"])
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [(b'\xff\xfe{"nodes": []}', "is not UTF-8 text"), (b"[" * 200_000, "nests too deeply")],
+    ids=["not-utf8", "deeply-nested"],
+)
+def test_undecodable_or_deeply_nested_input_is_an_input_error(tmp_path, capsys, command, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert cli.main([command, str(path)]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_exit_code_for_disconnected_chain(tmp_path, capsys):
     doc = tmp_path / "notsc.json"
     doc.write_text(
@@ -445,12 +460,36 @@ def test_verify_report_bytes_grow_with_its_rows(tmp_path, flags):
     assert all(set(row) == {"lhs", "rhs", "level", "worst_residual"} for row in report["relations"])
     # Each cut row lists its two sources, never the whole side either lies in.
     assert cli.main(["analyze", path, "--max-level", "2", "--out", analyzed]) == cli.EXIT_OK
-    hyperedges = [h for lv in _read_json(analyzed)["levels"] for h in lv["hyperedges"]]
+    analysis = _read_json(analyzed)
+    hyperedges = [h for lv in analysis["levels"] for h in lv["hyperedges"]]
     assert len(report["cuts"]) == len(hyperedges)
     for row, h in zip(report["cuts"], hyperedges):
         assert set(row) == {"level", "source_i", "source_j", "worst_residual"}
         assert (row["source_i"], row["source_j"]) == (h["source_i"], h["source_j"])
-        assert len(row["source_i"]) < len(h["cut_a"]) and len(row["source_j"]) < len(h["cut_b"])
+        # Side B is every node outside side A.
+        side_b = len(analysis["nodes"]) - len(h["cut_a"])
+        assert len(row["source_i"]) < len(h["cut_a"]) and len(row["source_j"]) < side_b
+
+
+# Analyze report bytes per relation row, hyperedge and factor-table entry. Rows that
+# wrote their factors in place took 572 bytes per item on oneway-120 and 616 on batchv1-40.
+ANALYZE_ITEM_BYTES = 500
+
+
+@pytest.mark.parametrize(
+    "flags", [("oneway", "--n", "120"), ("batchv1", "--truncate", "40")], ids=["oneway-120", "batchv1-40"]
+)
+def test_analyze_report_bytes_grow_with_its_rows_and_factors(tmp_path, flags):
+    path = _generate(tmp_path, *flags)
+    out = str(tmp_path / "analyze.json")
+    assert cli.main(["analyze", path, "--max-level", "2", "--out", out]) == cli.EXIT_OK
+    report = _read_json(out)
+    levels = report["levels"]
+    rows = report["first_level"]["relations"] + [r for lv in levels for r in lv.get("relations", [])]
+    hyperedges = [h for lv in levels for h in lv["hyperedges"]]
+    assert os.path.getsize(out) < ANALYZE_ITEM_BYTES * (len(rows) + len(hyperedges) + len(report["factors"]))
+    # A row names its factors by their index in the table.
+    assert all(type(row[side]) is int for row in rows for side in ("lhs_factor", "rhs_factor"))
 
 
 # ---- generate ----

@@ -1,6 +1,7 @@
 """Expression AST construction, classification, evaluation, circuit metrics, composition."""
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -16,9 +17,11 @@ from prodform import (
     ProductExpr,
     RateAtom,
     SumExpr,
+    analyze,
     ancestors_avoiding,
     circuit_stats,
     classify,
+    cli,
     compose_ps,
     cut_graph,
     evaluate,
@@ -27,12 +30,13 @@ from prodform import (
     make_relation,
     product_of,
     relation_to_json,
+    relations_to_json,
     s_factors,
     sum_of,
 )
 from prodform.graph_core import NodeSet
 
-from util import atom_edges, birth_death, ladder7, random_strongly_connected, two_way_cycle
+from util import atom_edges, birth_death, ladder7, one_way_cycle, random_strongly_connected, two_way_cycle
 
 A01 = RateAtom(0, 1)
 A10 = RateAtom(1, 0)
@@ -317,6 +321,46 @@ def test_relation_json_reports_combined_circuit():
     assert doc["lhs_factor"]["product"][0]["expr"] == {
         "sum": [{"atom": {"from": "0", "to": "1"}}]
     }
+
+
+def _inlined(factors: list[dict], row: dict) -> dict:
+    """A table row with its factor indices replaced by the table entries."""
+    return {**row, "lhs_factor": factors[row["lhs_factor"]], "rhs_factor": factors[row["rhs_factor"]]}
+
+
+def test_factor_table_holds_each_distinct_factor_once_in_first_use_order():
+    c = FormalChain(one_way_cycle(60))
+    labels = c.graph.labels
+    relations = analyze(c, max_level=2).relations
+    factors, rows = relations_to_json(relations, labels)
+    # Keyed by identity: a dict keeps the order in which its keys were first inserted.
+    used = list({id(e): e for r in relations for e in (r.lhs_factor, r.rhs_factor)}.values())
+    assert (len(relations), len(used)) == (1770, 60)
+    assert factors == [factor_to_json(e, labels) for e in used]
+    for r, row in zip(relations, rows):
+        assert used[row["lhs_factor"]] is r.lhs_factor and used[row["rhs_factor"]] is r.rhs_factor
+        assert relation_to_json(r, labels) == _inlined(factors, row)
+
+
+def test_factor_table_tells_equal_factors_apart_by_identity():
+    labels = ["a", "b"]
+    first = make_relation(0, 1, sum_of([A01]), sum_of([A10]))
+    second = make_relation(0, 1, sum_of([A01]), first.rhs_factor)
+    factors, rows = relations_to_json([first, second], labels)
+    held = (first.lhs_factor, first.rhs_factor, second.lhs_factor)
+    assert factors == [factor_to_json(e, labels) for e in held]
+    assert [(row["lhs_factor"], row["rhs_factor"]) for row in rows] == [(0, 1), (2, 1)]
+    assert [relation_to_json(r, labels) for r in (first, second)] == [_inlined(factors, row) for row in rows]
+
+
+def test_a_chain_without_relations_writes_an_empty_factor_table(tmp_path):
+    path, out = str(tmp_path / "twoway.json"), str(tmp_path / "report.json")
+    assert cli.main(["generate", "twoway", "--out", path]) == cli.EXIT_OK
+    assert cli.main(["analyze", path, "--max-level", "6", "--out", out]) == cli.EXIT_OK
+    with open(out, encoding="utf-8") as handle:
+        report = json.load(handle)
+    assert list(report)[4:7] == ["max_level", "factors", "first_level"]
+    assert report["factors"] == [] and report["first_level"]["relations"] == []
 
 
 def test_compose_on_ladder_matches_published_cut_factors():
