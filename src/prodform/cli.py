@@ -6,12 +6,14 @@ Exit codes are stable: 0 success, 1 verification/equivalence failure, 2 input
 error, 3 structural error, 4 budget exceeded; a document that is not UTF-8
 text or nests too deeply to parse is an input error. ``main`` builds only the
 invoked command's argument parser, and all five when the first argument names
-none. The ``analyze`` report writes each distinct factor once, in a ``factors``
+none. Reports list every node set, whatever its size, as its sorted labels.
+The ``analyze`` report writes each distinct factor once, in a ``factors``
 table that relation rows index, and only side A of a hyperedge's cut.
 ``verify`` checks every relation, and the cuts of level 2 and up as rows named
 by their level and sources; a level-1 cut's balance is its relation, so it has
-no row of its own. ``oracle random --mode cuts`` refuses ``--nodes`` over the
-oracle's budget before it draws a chain.
+no row of its own. ``generate`` writes only the chain document. ``oracle
+--mode cuts`` writes only side A of each cut, and ``oracle random --mode cuts``
+refuses ``--nodes`` over the oracle's budget before it draws a chain.
 """
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ import argparse
 import json
 import math
 import random
+import reprlib
 import sys
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, fields
-from itertools import compress
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .errors import (
     InvalidArgumentError,
@@ -32,10 +33,10 @@ from .errors import (
     NumericError,
     ResourceLimitError,
 )
-from .factors import Relation, factor_to_json, relation_to_json, relations_to_json
-from .graph_core import DirectedGraph, NodeSet
+from .factors import Relation, relations_to_json
+from .graph_core import DirectedGraph
 from .higher_level import Analysis, _first_level, analyze, broad_pair_scan, higher_level_cut_graph
-from .models import Family, FixtureBundle, ModelSpec, expected_fixtures, parameter_names
+from .models import Family, ModelSpec, parameter_names
 from .models import generate as generate_model
 from .numeric import (
     _ORACLE_NODE_BUDGET,
@@ -102,7 +103,7 @@ def parse_document(text: str) -> GraphDocument:
     if not isinstance(name, str):
         raise InvalidArgumentError("name must be a string")
     if kind not in ("ctmc", "dtmc"):
-        raise InvalidArgumentError(f"kind must be 'ctmc' or 'dtmc', got {kind!r}")
+        raise InvalidArgumentError(f"kind must be 'ctmc' or 'dtmc', got {reprlib.repr(kind)}")
     nodes = raw.get("nodes")
     if not isinstance(nodes, list) or not all(isinstance(x, str) for x in nodes):
         raise InvalidArgumentError("nodes must be a list of label strings")
@@ -113,14 +114,14 @@ def parse_document(text: str) -> GraphDocument:
     rates: list[float] = []
     for entry in raw_edges:
         if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
-            raise InvalidArgumentError(f"malformed edge entry: {entry!r}")
+            raise InvalidArgumentError(f"malformed edge entry: {reprlib.repr(entry)}")
         if not isinstance(entry["from"], str) or not isinstance(entry["to"], str):
-            raise InvalidArgumentError(f"edge endpoints must be label strings: {entry!r}")
+            raise InvalidArgumentError(f"edge endpoints must be label strings: {reprlib.repr(entry)}")
         edges.append((entry["from"], entry["to"]))
         if "rate" in entry:
             value = entry["rate"]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InvalidArgumentError(f"edge rate must be a number, got {value!r}")
+                raise InvalidArgumentError(f"edge rate must be a number, got {reprlib.repr(value)}")
             try:
                 rates.append(float(value))
             except OverflowError:
@@ -224,43 +225,19 @@ def _write_text(text: str, path: str | None) -> None:
 
 
 def _names(labels: Sequence[str], nodes: Iterable[int]) -> list[str]:
-    """The sorted labels of a few node indices, such as a pair's two nodes."""
+    """The sorted labels of node indices: a pair, a component or a cut side."""
     return sorted(labels[v] for v in nodes)
-
-
-# Maps the digits "0" and "1" to the bytes 0 and 1.
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _set_names(labels: Sequence[str]) -> Callable[[NodeSet], list[str]]:
-    """``_names`` of a node set, from one label order sorted for the whole report.
-
-    ``format`` writes node v's bit at position n - 1 - v, ``pick`` reads those
-    positions in label order, and ``compress`` keeps the labels whose bit is set.
-    """
-    n = len(labels)
-    order = sorted(range(n), key=labels.__getitem__)
-    ranked = [labels[v] for v in order]
-    # The extra position keeps pick's result a tuple when n is 1; compress stops before it.
-    pick = itemgetter(*(n - 1 - v for v in order), 0)
-    width = f"0{n}b"
-
-    def names(nodes: NodeSet) -> list[str]:
-        return list(compress(ranked, pick(format(nodes.mask, width).encode().translate(_BITS))))
-
-    return names
 
 
 def _report_body(c: FormalChain, found: Analysis) -> dict:
     """The ``factors``, ``first_level`` and ``levels`` entries of the analyze report."""
     labels = c.graph.labels
-    names = _set_names(labels)
     first, *higher = found.levels
     first_count = len(first.hyperedges)
     factors, relations = relations_to_json(found.relations, labels)
     first_level = {
         "edges": [_names(labels, (h.comp_i, h.comp_j)) for h in first.hyperedges],
-        "components": [names(comp) for comp in first.components],
+        "components": [_names(labels, comp) for comp in first.components],
         "relations": relations[:first_count],
     }
     levels = []
@@ -269,13 +246,13 @@ def _report_body(c: FormalChain, found: Analysis) -> dict:
             "level": lv.level,
             "hyperedges": [
                 {
-                    "source_i": names(h.cut.source_a),
-                    "source_j": names(h.cut.source_b),
-                    "cut_a": names(h.cut.side_a),
+                    "source_i": _names(labels, h.cut.source_a),
+                    "source_j": _names(labels, h.cut.source_b),
+                    "cut_a": _names(labels, h.cut.side_a),
                 }
                 for h in lv.hyperedges
             ],
-            "components": [names(comp) for comp in lv.components],
+            "components": [_names(labels, comp) for comp in lv.components],
         }
         if lv.level == 2:
             entry["relations"] = relations[first_count:]
@@ -371,45 +348,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ---- generate ----
 
-def _fixture_value(value: object, labels: Sequence[str]) -> object:
-    if isinstance(value, Relation):
-        return relation_to_json(value, labels)
-    if isinstance(value, frozenset):
-        return sorted(_fixture_value(v, labels) for v in value)
-    if isinstance(value, tuple):
-        return [_fixture_value(v, labels) for v in value]
-    return value
-
-
-def _fixture_to_json(fx: FixtureBundle | None, labels: Sequence[str]) -> dict:
-    """Every field that differs from its default; ``closed_form`` rows become objects."""
-    if fx is None:
-        return {"pinned": False}
-    doc: dict = {"pinned": True}
-    for f in fields(FixtureBundle):
-        value = getattr(fx, f.name)
-        if value == f.default:
-            continue
-        if f.name == "closed_form":
-            doc[f.name] = [
-                {"node": lab, "factor": factor_to_json(expr, labels)} for lab, expr in value
-            ]
-        else:
-            doc[f.name] = _fixture_value(value, labels)
-    return doc
-
 
 def cmd_generate(args: argparse.Namespace) -> int:
     params = {k: getattr(args, k) for k in parameter_names() if getattr(args, k) is not None}
-    if args.with_fixtures and args.out is None:
-        raise InvalidArgumentError("--with-fixtures requires --out")
-    spec = ModelSpec(Family(args.family), params)
-    c = generate_model(spec)
+    c = generate_model(ModelSpec(Family(args.family), params))
     doc = emit_document(c, name=args.name or args.family)
     _write_json(doc.to_json(), args.out)
-    if args.with_fixtures:
-        fx = expected_fixtures(spec)
-        _write_json(_fixture_to_json(fx, c.graph.labels), args.out + ".fixtures.json")
     return EXIT_OK
 
 
@@ -435,7 +379,6 @@ def _random_chain(rng: random.Random, n: int) -> FormalChain:
 def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
     """The brute-force cuts against the scan's level-1 pairs and cut sides."""
     labels = c.graph.labels
-    names = _set_names(labels)
     brute = enumerate_sourced_cuts(c)
     scanned = {(h.comp_i, h.comp_j): h.cut for h in _first_level(c)}
     # A wrong side names its pair in both lists.
@@ -447,8 +390,7 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
         "cuts": [
             {
                 "pair": _names(labels, pair),
-                "side_a": names(cut.side_a),
-                "side_b": names(cut.side_b),
+                "side_a": _names(labels, cut.side_a),
             }
             for pair, cut in sorted(brute.items(), key=lambda kv: _names(labels, kv[0]))
         ],
@@ -460,18 +402,18 @@ def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
 
 def _broad_findings(c: FormalChain) -> tuple[list[dict], list[str], list[str], list[dict]]:
     """The broad scan's pair reports, conjecture findings and skipped pairs, by label."""
-    names = _set_names(c.graph.labels)
+    labels = c.graph.labels
     found, skipped = broad_pair_scan(c)
     pair_reports: list[dict] = []
     conjecture1: list[str] = []
     conjecture2: list[str] = []
     for pair in found:
-        comp_i, comp_j = names(pair.comp_i), names(pair.comp_j)
+        comp_i, comp_j = _names(labels, pair.comp_i), _names(labels, pair.comp_j)
         pair_reports.append(
             {
                 "comp_i": comp_i,
                 "comp_j": comp_j,
-                "members": [[names(i), names(j)] for i, j in pair.members],
+                "members": [[_names(labels, i), _names(labels, j)] for i, j in pair.members],
                 "components_free": pair.components_free,
             }
         )
@@ -481,12 +423,12 @@ def _broad_findings(c: FormalChain) -> tuple[list[dict], list[str], list[str], l
                 "members exist but the full components are not free"
             )
         conjecture2.extend(
-            f"({'|'.join(names(i))}) vs ({'|'.join(names(j))}): "
+            f"({'|'.join(_names(labels, i))}) vs ({'|'.join(_names(labels, j))}): "
             "no one-node extension"
             for i, j in pair.stranded
         )
     skipped_reports = [
-        {"comp_i": names(k1), "comp_j": names(k2)} for k1, k2 in skipped
+        {"comp_i": _names(labels, k1), "comp_j": _names(labels, k2)} for k1, k2 in skipped
     ]
     return pair_reports, conjecture1, conjecture2, skipped_reports
 
@@ -591,11 +533,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     lines = [f"digraph {_dot_id(doc.name or 'chain')} {{", "  rankdir=LR;", "  node [shape=circle];"]
     if args.annotate >= 1:
         c1 = cut_graph(c)
-        names = _set_names(labels)
         for k, comp in enumerate(c1.components):
             lines.append(f"  subgraph cluster_{k} {{")
             lines.append("    style=dashed; color=gray;")
-            for lab in names(comp):
+            for lab in _names(labels, comp):
                 lines.append("    " + _dot_node(lab))
             lines.append("  }")
     else:
@@ -674,11 +615,6 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
                 p.add_argument(f"--{flag}", dest=key, metavar=flag.upper(), type=int)
             p.add_argument("--name", default=None, help="document name (default: family)")
             p.add_argument("--out", default=None, help="document path (default stdout)")
-            p.add_argument(
-                "--with-fixtures",
-                action="store_true",
-                help="also write pinned expectations next to --out",
-            )
             p.set_defaults(func=cmd_generate)
         elif name == "oracle":
             p.add_argument("input", help="graph JSON document, or 'random' for sampled chains")

@@ -16,8 +16,8 @@ from .errors import InvalidArgumentError
 class NodeSet:
     """Immutable set of node indices backed by an integer bitmask.
 
-    ``universe`` is the number of nodes in the owning graph; it is required for
-    complements and guards against mixing sets from different graphs.
+    ``universe`` is the number of nodes in the owning graph; it guards against
+    mixing sets from different graphs.
     """
 
     __slots__ = ("mask", "universe")
@@ -88,9 +88,6 @@ class NodeSet:
     def __sub__(self, other: NodeSet) -> NodeSet:
         self._check(other)
         return NodeSet(self.mask & ~other.mask, self.universe)
-
-    def complement(self) -> NodeSet:
-        return NodeSet(~self.mask & (1 << self.universe) - 1, self.universe)
 
 
 # ---- graphs ----

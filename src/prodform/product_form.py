@@ -95,10 +95,6 @@ class Cut:
     source_a: NodeSet
     source_b: NodeSet
 
-    @property
-    def side_b(self) -> NodeSet:
-        return self.side_a.complement()
-
 
 @dataclass(frozen=True)
 class CutGraph:

@@ -22,7 +22,7 @@ from prodform import (
     stationary,
 )
 
-from util import reference_cut_residual, reference_relation_residual
+from util import complement, reference_cut_residual, reference_relation_residual
 
 # ---- helpers ----
 
@@ -148,6 +148,28 @@ def test_undecodable_or_deeply_nested_input_is_an_input_error(tmp_path, capsys, 
     assert cli.main([command, str(path)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+_EDGE = {"from": "a", "to": "b"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"nodes": ["a", "b"], "edges": [{"from": "x" * 500_000}]},
+        {"nodes": ["a", "b"], "edges": [{"from": ["a"] * 20_000, "to": "b"}]},
+        {"nodes": ["a", "b"], "edges": [{**_EDGE, "rate": "9" * 500_000}]},
+        {"kind": "k" * 500_000, "nodes": ["a", "b"], "edges": [_EDGE]},
+    ],
+    ids=["malformed-edge", "endpoint", "rate", "kind"],
+)
+def test_a_long_bad_value_gives_a_short_error_line(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and len(line) < 200
 
 
 def test_exit_code_for_disconnected_chain(tmp_path, capsys):
@@ -519,24 +541,6 @@ def test_generate_nodes_are_sorted(tmp_path):
     assert doc["nodes"] == sorted(doc["nodes"])
 
 
-def test_generate_with_fixtures(tmp_path):
-    path = _generate(tmp_path, "batchv2", "--truncate", "6", "--with-fixtures")
-    fixtures = _read_json(path + ".fixtures.json")
-    assert fixtures["pinned"] is True
-    assert ["1", "bar1"] in fixtures["c1_edges"]
-    assert fixtures["level2_sources"] == [[["bar1", "bar2"], ["2"]]]
-    assert fixtures["broad_query"][1] == ["2", "bar3"]
-
-
-def test_generate_fixtures_for_unpinned_config(tmp_path):
-    path = _generate(tmp_path, "tree", "--n", "7", "--with-fixtures")
-    assert _read_json(path + ".fixtures.json") == {"pinned": False}
-
-
-def test_generate_fixtures_require_out():
-    assert cli.main(["generate", "ladder", "--with-fixtures"]) == cli.EXIT_INPUT
-
-
 # ---- oracle ----
 
 
@@ -554,6 +558,17 @@ def test_oracle_cuts_agree_with_the_scan(tmp_path):
         ["2", "5"],
         ["3", "6"],
     ]
+
+
+def test_oracle_cut_rows_write_side_a_only(tmp_path):
+    path = _generate(tmp_path, "ladder")
+    out = str(tmp_path / "oracle.json")
+    assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_OK
+    nodes = set(_read_json(path)["nodes"])
+    for row in _read_json(out)["cuts"]:
+        # Side B is the rest of the nodes.
+        assert list(row) == ["pair", "side_a"]
+        assert row["side_a"] == sorted(row["side_a"]) and set(row["side_a"]) < nodes
 
 
 def test_oracle_cuts_fail_when_the_scan_disagrees(tmp_path, monkeypatch):
@@ -580,7 +595,7 @@ def test_oracle_cuts_name_a_wrong_side_in_both_lists(tmp_path, monkeypatch):
 
     def one_wrong_side(c):
         h, *rest = scan(c)
-        return (replace(h, cut=replace(h.cut, side_a=h.cut.side_b)), *rest)
+        return (replace(h, cut=replace(h.cut, side_a=complement(h.cut.side_a))), *rest)
 
     monkeypatch.setattr(cli, "_first_level", one_wrong_side)
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
@@ -748,7 +763,7 @@ _ARGV_CASES = [
     ["generate", "nosuch"],
     ["analyze", "x", "--max-level", "2", "--out", "r.json"],
     ["verify", "x", "--seeds", "3", "--tol", "1e-6", "--fault"],
-    ["generate", "qbd", "--blocks", "4", "--with-fixtures", "--out", "d.json"],
+    ["generate", "qbd", "--blocks", "4", "--out", "d.json"],
     ["oracle", "random", "--mode", "broad", "--nodes", "5", "--samples", "9", "--seed", "2"],
     ["export", "x", "--annotate", "2", "--dot", "g.dot"],
 ]

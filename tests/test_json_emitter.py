@@ -92,11 +92,9 @@ def _check_every_command(monkeypatch, path: str) -> int:
 @pytest.mark.parametrize("family", sorted(f.value for f in Family))
 def test_emitter_matches_json_dumps_on_family_reports(tmp_path, monkeypatch, family: str):
     out = str(tmp_path / "doc.json")
-    generated = _payloads(monkeypatch, ["generate", family, "--with-fixtures", "--out", out])
-    assert len(generated) == 2  # the document and its fixtures
-    for payload in generated:
-        _check(payload)
-    (tmp_path / "doc.json").write_text(json.dumps(generated[0]), encoding="utf-8")
+    (document,) = _payloads(monkeypatch, ["generate", family, "--out", out])
+    _check(document)
+    (tmp_path / "doc.json").write_text(json.dumps(document), encoding="utf-8")
     # analyze x3, verify, oracle cuts and broad; the fault control needs a relation.
     assert _check_every_command(monkeypatch, out) >= 6
 

@@ -23,6 +23,8 @@ from prodform.models import _composed_closed_form, _msj_spine
 from prodform.numeric import cut_equation_check, random_rates, stationary, verify_relation
 from prodform.product_form import Cut
 
+from util import complement
+
 
 def _labels(c: FormalChain, s: NodeSet) -> frozenset[str]:
     return frozenset(c.graph.labels[v] for v in s)
@@ -226,7 +228,7 @@ def test_batch_v2_component_cut_equation():
     (h,) = level2.hyperedges
     (side_a, side_b) = fx.cut_sides[0]
     assert _labels(c, h.cut.side_a) == side_a
-    assert _labels(c, h.cut.side_b) == side_b
+    assert _labels(c, complement(h.cut.side_a)) == side_b
     for seed in range(20):
         rates = random_rates(c, seed)
         pi = stationary(c, rates)
@@ -315,7 +317,7 @@ def test_ring_clique_analysis_matches_fixture():
     cut = clique_territory_cut(c, analysis, c.graph.index_of["5"], c.graph.index_of["8"])
     assert isinstance(cut, Cut)
     assert _labels(c, cut.side_a) == fx.clique_cut[0]
-    assert _labels(c, cut.side_b) == fx.clique_cut[1]
+    assert _labels(c, complement(cut.side_a)) == fx.clique_cut[1]
     for seed in range(20):
         rates = random_rates(c, seed)
         pi = stationary(c, rates)
@@ -345,6 +347,37 @@ def test_fixtures_exist_only_for_pinned_configurations():
     assert expected_fixtures(ModelSpec(Family.ONE_WAY_CYCLE_PLUS_EDGE, {"n": 6})) is None
     bd = expected_fixtures(ModelSpec(Family.BIRTH_DEATH, {"n": 4}))
     assert bd is not None and len(bd.c1_edges) == 3
+
+
+# Every family parameter at its default value.
+_DEFAULTS = [
+    (Family.BATCH_V1, "multiple", 3),
+    (Family.BATCH_V1, "truncation", 8),
+    (Family.BATCH_V2, "truncation", 6),
+    (Family.BIRTH_DEATH, "n", 6),
+    (Family.MSJ_SATURATED, "c1", 3),
+    (Family.MSJ_SATURATED, "c2", 10),
+    (Family.MSJ_SATURATED, "servers", 30),
+    (Family.ONE_WAY_CYCLE, "n", 5),
+    (Family.ONE_WAY_CYCLE_PLUS_EDGE, "n", 5),
+    (Family.ONE_WAY_CYCLE_PLUS_EDGE, "k", 3),
+    (Family.QBD_TOY, "blocks", 3),
+    (Family.QBD_TOY, "blocksize", 3),
+    (Family.TREE, "n", 7),
+    (Family.TWO_WAY_CYCLE, "n", 5),
+]
+
+
+@pytest.mark.parametrize("family, key, value", _DEFAULTS, ids=lambda x: getattr(x, "value", str(x)))
+def test_passing_a_default_gives_the_same_fixtures(family: Family, key: str, value: int):
+    assert expected_fixtures(ModelSpec(family, {key: value})) == expected_fixtures(ModelSpec(family))
+
+
+def test_batch_v2_fixture_names_its_level_two_sources():
+    fx = expected_fixtures(ModelSpec(Family.BATCH_V2))
+    assert frozenset({"1", "bar1"}) in fx.c1_edges
+    assert fx.level2_sources == ((frozenset({"bar1", "bar2"}), frozenset({"2"})),)
+    assert fx.broad_query[1] == frozenset({"2", "bar3"})
 
 
 def test_fixture_relations_verify_numerically():

@@ -42,6 +42,7 @@ from prodform.models import Family, ModelSpec, generate
 from util import (
     birth_death,
     brute_sourced_cuts,
+    complement,
     corpus,
     corpus_chain,
     ladder7,
@@ -388,7 +389,7 @@ def test_cut_residuals_validate_the_universe():
     pi = stationary(c, rates)
     side = NodeSet.of([0], 5)
     with pytest.raises(InvalidArgumentError, match="not over the chain's 4 nodes"):
-        cut_residuals(pi, rates, [Cut(side, side, side.complement())])
+        cut_residuals(pi, rates, [Cut(side, side, complement(side))])
     head, next_ = NodeSet.of([0], 4), NodeSet.of([1], 4)
     for bad in (
         Cut(head, NodeSet(0, 4), next_),

@@ -249,6 +249,11 @@ def nodeset(g: DirectedGraph, indices) -> NodeSet:
     return NodeSet.of(indices, g.n)
 
 
+def complement(s: NodeSet) -> NodeSet:
+    """The nodes of the universe outside ``s``, such as side B of a cut from its side A."""
+    return NodeSet((1 << s.universe) - 1 ^ s.mask, s.universe)
+
+
 def bipartition_sources(g: DirectedGraph, side_a: set[int]) -> tuple[set[int], set[int]]:
     """Sources of a bipartition by direct edge scan (independent of the library's masks)."""
     side_b = set(range(g.n)) - side_a
@@ -283,12 +288,13 @@ def reference_relation_residual(pi: StationaryMeasure, rates: RateAssignment, r:
 
 def reference_cut_residual(pi: StationaryMeasure, rates: RateAssignment, cut: Cut) -> float:
     """Crossing-flow balance of one cut by a per-edge loop in the rate map's order."""
+    side_b = complement(cut.side_a)
     forward = 0.0
     backward = 0.0
     for (u, v), q in rates.values.items():
-        if u in cut.side_a and v in cut.side_b:
+        if u in cut.side_a and v in side_b:
             forward += pi[u] * q
-        elif u in cut.side_b and v in cut.side_a:
+        elif u in side_b and v in cut.side_a:
             backward += pi[u] * q
     return abs(forward - backward) / (forward + backward)
 
