@@ -125,7 +125,9 @@ def parse_document(text: str) -> GraphDocument:
             try:
                 rates.append(float(value))
             except OverflowError:
-                raise InvalidArgumentError(f"rate of edge {entry['from']}->{entry['to']} overflows a float") from None
+                # reprlib shortens a long label; its quotes are dropped.
+                a, b = (reprlib.repr(entry[key])[1:-1] for key in ("from", "to"))
+                raise InvalidArgumentError(f"rate of edge {a}->{b} overflows a float") from None
     if rates and len(rates) != len(edges):
         raise InvalidArgumentError("either every edge carries a rate or none does")
     return GraphDocument(

@@ -5,6 +5,8 @@ directly and the CLI only has to translate types, never messages.
 """
 from __future__ import annotations
 
+import reprlib
+
 
 class ProdformError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,7 +25,10 @@ class NotStronglyConnectedError(ProdformError):
 
     def __init__(self, witness: tuple[str, str]):
         self.witness = witness
-        super().__init__(f"not strongly connected: {witness[1]!r} is unreachable from {witness[0]!r}")
+        super().__init__(
+            f"not strongly connected: {reprlib.repr(witness[1])} is unreachable "
+            f"from {reprlib.repr(witness[0])}"
+        )
 
 
 class ResourceLimitError(ProdformError):

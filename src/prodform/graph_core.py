@@ -6,6 +6,7 @@ Parallel edges are rejected at construction; self-loops are permitted.
 """
 from __future__ import annotations
 
+import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgumentError
@@ -117,7 +118,8 @@ class DirectedGraph:
                 raise InvalidArgumentError(f"edge ({u}, {v}) references a missing node")
             if v in out_sets[u]:
                 raise InvalidArgumentError(
-                    f"parallel edge {labels[u]!r} -> {labels[v]!r}; rates must be pre-aggregated"
+                    f"parallel edge {reprlib.repr(labels[u])} -> {reprlib.repr(labels[v])}; "
+                    "rates must be pre-aggregated"
                 )
             out_sets[u].add(v)
             in_sets[v].add(u)
@@ -137,7 +139,7 @@ class DirectedGraph:
         for a, b in edges:
             if a not in index or b not in index:
                 missing = a if a not in index else b
-                raise InvalidArgumentError(f"edge endpoint {missing!r} is not a declared node")
+                raise InvalidArgumentError(f"edge endpoint {reprlib.repr(missing)} is not a declared node")
             pairs.append((index[a], index[b]))
         return cls(labels, pairs)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import reprlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -58,7 +59,7 @@ def rate_assignment(
             total = sum(values[(u, v)] for v in g.out_adj[u])
             if abs(total - 1.0) > _ROW_SUM_TOLERANCE:
                 raise InvalidArgumentError(
-                    f"outgoing probabilities of node {g.labels[u]!r} sum to {total!r}, not 1"
+                    f"outgoing probabilities of node {reprlib.repr(g.labels[u])} sum to {total!r}, not 1"
                 )
     return RateAssignment(dict(values))
 
@@ -231,11 +232,22 @@ def cut_equation_check(pi: StationaryMeasure, rates: RateAssignment, cut: Cut) -
 
 
 def enumerate_sourced_cuts(c: FormalChain) -> dict[tuple[int, int], Cut]:
-    """Brute-force scan of all bipartitions for singleton-sourced cuts.
+    """Exhaustive scan of all bipartitions for singleton-sourced cuts.
 
     Keyed by the unordered source pair as (i, j) with i < j; side_a is the
-    side whose source is i. Exponential in |V|, so guarded at 20 nodes; this
-    is the reference oracle the structural algorithms are tested against.
+    side whose source is i. This is the reference oracle the structural
+    algorithms are tested against.
+
+    Node 0 is pinned to side A, so bipartition t has side-A mask 2t + 1, and
+    all 2^(n-1) of them are tested at once as bit columns: node v's column is
+    a 2^(n-1)-bit int whose bit t says whether v is on side A in bipartition
+    t. A node is a side-A source where it is on A and not all its
+    out-neighbours are, and a side-B source where it is on B and some
+    out-neighbour is on A; "at least one" and "at least two" counters per
+    side then mark the bipartitions with exactly one source on each side.
+    That is O(|E|) operations on 2^(n-1)-bit ints, plus one ``_sources`` call
+    per marked bipartition, of which there are at most n(n-1)/2 when sourced
+    cuts are unique. Exponential in |V|, so guarded at 20 nodes.
     """
     g = c.graph
     n = g.n
@@ -243,14 +255,39 @@ def enumerate_sourced_cuts(c: FormalChain) -> dict[tuple[int, int], Cut]:
         raise ResourceLimitError(
             f"chain has {n} nodes; exhaustive cut enumeration is budgeted at {_ORACLE_NODE_BUDGET}"
         )
+    width = 1 << (n - 1)
+    columns = [(1 << width) - 1]
+    for v in range(1, n):
+        # Blocks of 2^(v-1) zeros then ones, doubled up to the full width.
+        span = 1 << (v - 1)
+        column = ((1 << span) - 1) << span
+        span <<= 1
+        while span < width:
+            column |= column << span
+            span <<= 1
+        columns.append(column)
+    one_a = two_a = one_b = two_b = 0
+    for u in range(n):
+        all_on_a, any_on_a = -1, 0
+        for w in g.out_adj[u]:
+            all_on_a &= columns[w]
+            any_on_a |= columns[w]
+        source_a = columns[u] & ~all_on_a
+        source_b = any_on_a & ~columns[u]
+        two_a |= one_a & source_a
+        one_a |= source_a
+        two_b |= one_b & source_b
+        one_b |= source_b
+    # Side B is empty in the last bipartition, so one_b already leaves it out.
+    marked = one_a & ~two_a & one_b & ~two_b
     full = (1 << n) - 1
     found: dict[tuple[int, int], Cut] = {}
-    # consider each bipartition once by pinning node 0 to side_a
-    for mask in range(1, full, 2):
+    while marked:
+        low = marked & -marked
+        marked ^= low
+        mask = 2 * low.bit_length() - 1
         comp = full & ~mask
         src_a, src_b = _sources(g, mask, comp)
-        if src_a.bit_count() != 1 or src_b.bit_count() != 1:
-            continue
         i = src_a.bit_length() - 1
         j = src_b.bit_length() - 1
         if i < j:

@@ -36,6 +36,7 @@ than |V| |E|.
 from __future__ import annotations
 
 import enum
+import reprlib
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -227,8 +228,8 @@ def compose_ps(path: Sequence[int], chain: FormalChain) -> Relation:
         pair = s_factors(chain, a, b)
         if pair is None:
             raise InvalidArgumentError(
-                f"nodes {chain.graph.labels[a]!r} and {chain.graph.labels[b]!r} share a joint "
-                "ancestor; consecutive path nodes must be cut-graph neighbors"
+                f"nodes {reprlib.repr(chain.graph.labels[a])} and {reprlib.repr(chain.graph.labels[b])} "
+                "share a joint ancestor; consecutive path nodes must be cut-graph neighbors"
             )
         forward.append(pair[0])
         backward.append(pair[1])

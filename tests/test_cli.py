@@ -151,23 +151,49 @@ def test_undecodable_or_deeply_nested_input_is_an_input_error(tmp_path, capsys, 
 
 
 _EDGE = {"from": "a", "to": "b"}
+_LONG = "x" * 100_000
 
 
 @pytest.mark.parametrize(
-    "doc",
+    ("doc", "code"),
     [
-        {"nodes": ["a", "b"], "edges": [{"from": "x" * 500_000}]},
-        {"nodes": ["a", "b"], "edges": [{"from": ["a"] * 20_000, "to": "b"}]},
-        {"nodes": ["a", "b"], "edges": [{**_EDGE, "rate": "9" * 500_000}]},
-        {"kind": "k" * 500_000, "nodes": ["a", "b"], "edges": [_EDGE]},
+        ({"nodes": ["a", "b"], "edges": [{"from": "x" * 500_000}]}, cli.EXIT_INPUT),
+        ({"nodes": ["a", "b"], "edges": [{"from": ["a"] * 20_000, "to": "b"}]}, cli.EXIT_INPUT),
+        ({"nodes": ["a", "b"], "edges": [{**_EDGE, "rate": "9" * 500_000}]}, cli.EXIT_INPUT),
+        ({"kind": "k" * 500_000, "nodes": ["a", "b"], "edges": [_EDGE]}, cli.EXIT_INPUT),
+        ({"nodes": ["a", "b"], "edges": [{"from": "a", "to": _LONG}]}, cli.EXIT_INPUT),
+        ({"nodes": ["a", _LONG], "edges": [{"from": "a", "to": _LONG}] * 2}, cli.EXIT_INPUT),
+        ({"nodes": ["a", _LONG], "edges": [{"from": "a", "to": _LONG}]}, cli.EXIT_STRUCTURE),
+        (
+            {"nodes": ["a", _LONG], "edges": [{"from": "a", "to": _LONG, "rate": 10**400}]},
+            cli.EXIT_INPUT,
+        ),
+        (
+            {
+                "kind": "dtmc",
+                "nodes": ["a", _LONG],
+                "edges": [{"from": "a", "to": _LONG, "rate": 1}, {"from": _LONG, "to": "a", "rate": 2}],
+            },
+            cli.EXIT_INPUT,
+        ),
     ],
-    ids=["malformed-edge", "endpoint", "rate", "kind"],
+    ids=[
+        "malformed-edge",
+        "endpoint",
+        "rate",
+        "kind",
+        "undeclared-label",
+        "parallel-edge-label",
+        "unreachable-label",
+        "overflowing-rate-label",
+        "dtmc-row-label",
+    ],
 )
-def test_a_long_bad_value_gives_a_short_error_line(tmp_path, capsys, doc):
+def test_a_long_bad_value_gives_a_short_error_line(tmp_path, capsys, doc, code):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
-    assert cli.main(["analyze", str(path)]) == cli.EXIT_INPUT
+    assert cli.main(["analyze", str(path)]) == code
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and len(line) < 200
 

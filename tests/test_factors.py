@@ -9,6 +9,7 @@ import pytest
 
 from prodform import (
     CircuitStats,
+    DirectedGraph,
     FormalChain,
     InvalidArgumentError,
     Level,
@@ -211,6 +212,14 @@ def test_compose_rejects_bad_paths():
     t = FormalChain(two_way_cycle(5))
     with pytest.raises(InvalidArgumentError):
         compose_ps([0, 1], t)
+
+
+def test_compose_shortens_long_labels_in_its_error():
+    long = "x" * 100_000
+    g = DirectedGraph([long + "0", "1", long + "2"], [(0, 1), (1, 0), (1, 2), (2, 1)])
+    with pytest.raises(InvalidArgumentError, match="share a joint ancestor") as info:
+        compose_ps([0, 2], FormalChain(g))
+    assert len(str(info.value)) < 200
 
 
 def _c1_simple_paths(edges: frozenset[tuple[int, int]], n: int, max_hops: int) -> list[list[int]]:

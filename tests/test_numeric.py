@@ -484,6 +484,41 @@ def test_oracle_matches_structural_search_on_random_chains():
         assert set(found) == {(min(i, j), max(i, j)) for i, j in brute}
 
 
+def test_oracle_equals_the_per_bipartition_reference_on_random_chains():
+    rng = random.Random(24)
+    sizes = set()
+    for _ in range(2000):
+        # Sizes lean small: the reference tests its 2^n - 2 subsets one by one.
+        n = rng.randint(1, rng.randint(1, 13))
+        g = random_strongly_connected(rng, n, rng.choice((0.05, 0.15, 0.3, 0.5)))
+        sizes.add(n)
+        sides: dict[tuple[int, int], set[frozenset[int]]] = {}
+        for (i, j), found in brute_sourced_cuts(g).items():
+            for side_a, side_b in found:
+                key, side = ((i, j), side_a) if i < j else ((j, i), side_b)
+                sides.setdefault(key, set()).add(frozenset(side))
+        assert all(len(bipartitions) == 1 for bipartitions in sides.values())
+        cuts = enumerate_sourced_cuts(FormalChain(g))
+        assert {key: {frozenset(cut.side_a)} for key, cut in cuts.items()} == sides
+        for (i, j), cut in cuts.items():
+            assert (cut.source_a.mask, cut.source_b.mask) == (1 << i, 1 << j)
+    assert sizes == set(range(1, 14))
+
+
+@pytest.mark.parametrize(
+    ("graph", "count"),
+    [(birth_death, 19), (one_way_cycle, 190), (two_way_cycle, 0)],
+    ids=["bd", "oneway", "twoway"],
+)
+def test_oracle_at_its_node_budget(graph, count):
+    c = FormalChain(graph(20))
+    found = enumerate_sourced_cuts(c)
+    assert len(found) == count
+    assert set(found) == cut_graph(c).edges
+    for i, j in itertools.combinations(range(20), 2):
+        assert sourced_cut(c, i, j) == found.get((i, j))
+
+
 # ---- ratio-separating witnesses ----
 
 
