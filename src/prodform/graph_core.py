@@ -3,6 +3,9 @@
 Nodes are dense integer indices ``0..n-1`` carrying string labels; all set-valued
 queries work on :class:`NodeSet` bitmasks so the hot loops are integer arithmetic.
 Parallel edges are rejected at construction; self-loops are permitted.
+
+One breadth-first walk, ``_layers``, gives a seed's hop-count layers as masks:
+closures are their union, and ``_descend`` reads shortest paths off them.
 """
 from __future__ import annotations
 
@@ -160,25 +163,51 @@ class DirectedGraph:
 # ---- reachability primitives ----
 
 
-def _closure(adj_masks: Sequence[int], seed_mask: int, allowed_mask: int) -> int:
-    """Closure of ``seed_mask`` under one adjacency step, restricted to ``allowed_mask``.
+def _gather(mask: int, table: Sequence[int]) -> int:
+    """The union of ``table[k]`` over the bits k of ``mask``."""
+    found = 0
+    while mask:
+        low = mask & -mask
+        found |= table[low.bit_length() - 1]
+        mask ^= low
+    return found
 
-    Frontier BFS: every node enters the frontier at most once, and its adjacency
-    mask is consumed exactly when it is popped, so every edge is inspected at
-    most once.
+
+def _layers(adj_masks: Sequence[int], seed_mask: int, allowed_mask: int) -> list[int]:
+    """The breadth-first layers from ``seed_mask`` along ``adj_masks``, as disjoint masks.
+
+    Layer d holds the nodes d steps from the seed. Only nodes in
+    ``allowed_mask`` are entered after the seed itself. Every node enters one
+    layer, and its adjacency mask is read once, when its layer is expanded.
     """
-    seen = seed_mask
-    frontier = seed_mask
+    layers = []
+    seen = frontier = seed_mask
     while frontier:
-        step = 0
-        f = frontier
-        while f:
-            low = f & -f
-            step |= adj_masks[low.bit_length() - 1]
-            f ^= low
-        frontier = step & allowed_mask & ~seen
+        layers.append(frontier)
+        frontier = _gather(frontier, adj_masks) & allowed_mask & ~seen
         seen |= frontier
-    return seen
+    return layers
+
+
+def _closure(adj_masks: Sequence[int], seed_mask: int, allowed_mask: int) -> int:
+    """Closure of ``seed_mask`` under one adjacency step, restricted to ``allowed_mask``."""
+    # The layers are disjoint, so their sum is their union.
+    return sum(_layers(adj_masks, seed_mask, allowed_mask))
+
+
+def _descend(adj_masks: Sequence[int], layers: Sequence[int], here: int) -> list[int]:
+    """Walk from ``here`` to the seed, each step to the lowest-index neighbour one layer closer.
+
+    ``layers`` come from ``_layers`` run along the reverse of ``adj_masks``,
+    and must hold ``here``.
+    """
+    depth = next(d for d, layer in enumerate(layers) if layer >> here & 1)
+    path = [here]
+    for layer in reversed(layers[:depth]):
+        step = adj_masks[here] & layer
+        here = (step & -step).bit_length() - 1
+        path.append(here)
+    return path
 
 
 def ancestors_avoiding(g: DirectedGraph, seed: NodeSet, avoid: NodeSet) -> NodeSet:
@@ -214,34 +243,6 @@ def connectivity_witness(g: DirectedGraph) -> tuple[int, int] | None:
 
 
 # ---- traversal primitives ----
-
-
-def _bfs_levels(adj: Sequence[Sequence[int]], start: int, allowed: int = -1) -> list[int]:
-    """Hop count from ``start`` to every node along ``adj``, -1 where unreachable.
-
-    Only nodes in the ``allowed`` bitmask are entered after ``start``.
-    """
-    dist = [-1] * len(adj)
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] < 0 and allowed >> v & 1:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-def _descend(adj: Sequence[Sequence[int]], dist: Sequence[int], here: int) -> list[int]:
-    """Walk from ``here`` to the BFS start, each step to the smallest neighbor one level closer."""
-    path = [here]
-    while dist[here]:
-        here = min(v for v in adj[here] if dist[v] == dist[here] - 1)
-        path.append(here)
-    return path
 
 
 def _blocks(g: DirectedGraph) -> list[tuple[int, dict[int, int]]]:

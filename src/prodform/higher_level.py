@@ -22,12 +22,13 @@ and cut they check. ``higher_level_cut_graph`` enters the same loop from
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .factors import LEVEL_S, FactorExpr, Relation, SumExpr, make_relation, product_of, sum_of
-from .graph_core import NodeSet, _bfs_levels, _components, _descend
+from .graph_core import NodeSet, _components, _descend, _layers
 from .product_form import (
     Cut,
     CutGraph,
@@ -162,21 +163,21 @@ def _shared_sum(c: FormalChain, sums: _Sums, node: int, side_a: int, into_a: boo
     return found
 
 
-def _hop_factors(n: int, relations: Sequence[Relation]) -> tuple[_HopFactors, list[list[int]]]:
-    """Both orientations of every first-level relation's factor pair, and their adjacency lists."""
+def _hop_factors(n: int, relations: Sequence[Relation]) -> tuple[_HopFactors, list[int]]:
+    """Both orientations of every first-level relation's factor pair, and their adjacency masks."""
     hops: _HopFactors = {}
+    adj = [0] * n
     for r in relations:
         hops[r.lhs_node, r.rhs_node] = (r.lhs_factor, r.rhs_factor)
         hops[r.rhs_node, r.lhs_node] = (r.rhs_factor, r.lhs_factor)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in hops:
-        adj[a].append(b)
+        adj[r.lhs_node] |= 1 << r.rhs_node
+        adj[r.rhs_node] |= 1 << r.lhs_node
     return hops, adj
 
 
 def _side_factor(
     c: FormalChain,
-    adj: list[list[int]],
+    adj: list[int],
     hops: _HopFactors,
     sums: _Sums,
     star: int,
@@ -191,16 +192,16 @@ def _side_factor(
     shortest first-level path, stepping to the smallest neighbor one level
     closer to ``star``. A side whose only source is ``star`` is its crossing sum itself.
     """
-    dist = _bfs_levels(adj, star)
+    layers = _layers(adj, 1 << star, -1)
+    if sources.mask & ~sum(layers):
+        raise InvalidArgumentError("nodes are not connected in the first-level graph")
     terms: list[FactorExpr] = []
     for node in sorted(sources):
         crossing = _shared_sum(c, sums, node, side_a, into_a)
         if node == star:
             terms.append(crossing)
             continue
-        if dist[node] < 0:
-            raise InvalidArgumentError("nodes are not connected in the first-level graph")
-        path = _descend(adj, dist, node)[::-1]
+        path = _descend(adj, layers, node)[::-1]
         pairs = [hops[hop] for hop in zip(path, path[1:])]
         term = product_of(
             [(fwd, 1) for fwd, _ in pairs] + [(bwd, -1) for _, bwd in pairs] + [(crossing, 1)]
@@ -217,7 +218,7 @@ def _sps_relation(
     i_star: int,
     j_star: int,
     hops: _HopFactors,
-    adj: list[list[int]],
+    adj: list[int],
     sums: _Sums,
 ) -> Relation:
     side_a = h.cut.side_a.mask
@@ -365,29 +366,28 @@ def broad_pair_scan(
 ) -> tuple[list[BroadPair], list[tuple[NodeSet, NodeSet]]]:
     """Subset search over every pair of first-level components.
 
-    Returns the pairs that have members, and the pairs skipped because their
-    two components together span more than ``_BROAD_SEARCH_BUDGET`` nodes.
+    Returns the pairs that have members, and the pairs skipped because
+    ``broad_cut_search`` refuses them as over its node budget.
     """
     comps = cut_graph(c).components
     found: list[BroadPair] = []
     skipped: list[tuple[NodeSet, NodeSet]] = []
-    for p in range(len(comps)):
-        for q in range(p + 1, len(comps)):
-            k1, k2 = comps[p], comps[q]
-            if len(k1) + len(k2) > _BROAD_SEARCH_BUDGET:
-                skipped.append((k1, k2))
-                continue
+    for k1, k2 in itertools.combinations(comps, 2):
+        try:
             members = broad_cut_search(c, k1, k2)
-            if not members:
-                continue
-            masks = {(i.mask, j.mask) for i, j in members}
-            stranded = [
-                (i, j)
-                for i, j in members
-                if (i, j) != (k1, k2)
-                and not any((i.mask | 1 << v, j.mask) in masks for v in k1 - i)
-                and not any((i.mask, j.mask | 1 << v) in masks for v in k2 - j)
-            ]
-            found.append(BroadPair(k1, k2, members, is_jaf(c, k1, k2), stranded))
+        except ResourceLimitError:
+            skipped.append((k1, k2))
+            continue
+        if not members:
+            continue
+        masks = {(i.mask, j.mask) for i, j in members}
+        stranded = [
+            (i, j)
+            for i, j in members
+            if (i, j) != (k1, k2)
+            and not any((i.mask | 1 << v, j.mask) in masks for v in k1 - i)
+            and not any((i.mask, j.mask | 1 << v) in masks for v in k2 - j)
+        ]
+        found.append(BroadPair(k1, k2, members, is_jaf(c, k1, k2), stranded))
     return found, skipped
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 from .factors import Relation, evaluate
-from .graph_core import NodeSet, _bfs_levels, _descend
-from .product_form import ChainKind, Cut, FormalChain, _sources, mutually_avoiding_ancestors
+from .graph_core import NodeSet, _descend, _layers
+from .product_form import ChainKind, Cut, FormalChain, _sources
 
 _SOLVER_NODE_BUDGET = 2000
 _ORACLE_NODE_BUDGET = 20
@@ -357,16 +357,16 @@ def theorem3_witness(c: FormalChain, i: int, j: int) -> WitnessPair | None:
     g = c.graph
     if i == j or not (0 <= i < g.n and 0 <= j < g.n):
         raise InvalidArgumentError("a witness needs two distinct valid nodes")
-    anc_i, anc_j = mutually_avoiding_ancestors(
-        c, NodeSet.of([i], g.n), NodeSet.of([j], g.n)
-    )
-    joint = anc_i & anc_j
+    # The ancestors of each node in the subgraph avoiding the other, by hop count.
+    layers_i = _layers(g.in_mask, 1 << i, ~(1 << j))
+    layers_j = _layers(g.in_mask, 1 << j, ~(1 << i))
+    anc_j = sum(layers_j)
+    joint = next((layer & anc_j for layer in layers_i if layer & anc_j), 0)
     if not joint:
         return None
-    dist = _bfs_levels(g.in_adj, i, ~(1 << j))
-    _, k = min((dist[v], v) for v in joint)
-    path_a = _descend(g.out_adj, dist, k)
-    path_b = _descend(g.out_adj, _bfs_levels(g.in_adj, j, ~(1 << i)), k)
+    k = (joint & -joint).bit_length() - 1
+    path_a = _descend(g.out_mask, layers_i, k)
+    path_b = _descend(g.out_mask, layers_j, k)
     shared = set(path_a) & set(path_b)
     assert shared == {k}, (
         "a closer joint ancestor would exist if the shortest paths met again"

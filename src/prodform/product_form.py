@@ -48,6 +48,7 @@ from .graph_core import (
     _blocks,
     _closure,
     _components,
+    _gather,
     ancestors_avoiding,
     connectivity_witness,
 )
@@ -342,16 +343,6 @@ def _lane_sides(state: list[int], free: int) -> Iterator[tuple[int, int]]:
         k = lane.bit_length() - 1 - low
         # Digit v is node v's bit, so reversed, node 0 is the lowest bit.
         yield k + low, int(rows[k >> 3 :: width].translate(_BIT_DIGITS[k & 7])[::-1], 2)
-
-
-def _gather(mask: int, table: Sequence[int]) -> int:
-    """The union of ``table[k]`` over the bits k of ``mask``."""
-    found = 0
-    while mask:
-        low = mask & -mask
-        found |= table[low.bit_length() - 1]
-        mask ^= low
-    return found
 
 
 def _free_pairs(g: DirectedGraph) -> Iterator[tuple[int, int, Iterable[tuple[int, int]]]]:

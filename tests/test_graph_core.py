@@ -13,12 +13,13 @@ from prodform.graph_core import (
     ancestors_avoiding,
     connectivity_witness,
 )
-from prodform.graph_core import _bfs_levels, _blocks, _descend
+from prodform.graph_core import _blocks, _descend, _layers
 from util import (
     birth_death,
     glued_chain,
     ladder7,
     naive_ancestors,
+    naive_hops,
     nodeset,
     one_way_cycle,
     one_way_cycle_plus,
@@ -198,9 +199,9 @@ def test_strong_connectivity_checks():
 
 
 def _shortest_path(g: DirectedGraph, src: int, dst: int, avoid=()) -> list[int] | None:
-    """BFS levels toward ``dst`` over in-edges, then the descent from ``src``, as the witness builds paths."""
-    dist = _bfs_levels(g.in_adj, dst, ~sum(1 << v for v in avoid))
-    return None if dist[src] < 0 else _descend(g.out_adj, dist, src)
+    """BFS layers toward ``dst`` over in-edges, then the descent from ``src``, as the witness builds paths."""
+    layers = _layers(g.in_mask, 1 << dst, ~sum(1 << v for v in avoid))
+    return _descend(g.out_mask, layers, src) if sum(layers) >> src & 1 else None
 
 
 def test_shortest_path_absent_when_detour_blocked():
@@ -222,10 +223,10 @@ def test_shortest_path_trivial_cases():
     g = birth_death(4)
     assert _shortest_path(g, 2, 2) == [2]
     assert _shortest_path(g, 0, 3) == [0, 1, 2, 3]
-    assert _bfs_levels(g.out_adj, 0) == [0, 1, 2, 3]
-    # Only the start is entered outside ``allowed``.
-    assert _bfs_levels(g.out_adj, 0, ~0b1) == [0, 1, 2, 3]
-    assert _bfs_levels(g.out_adj, 0, ~0b10) == [0, -1, -1, -1]
+    assert _layers(g.out_mask, 0b1, -1) == [0b1, 0b10, 0b100, 0b1000]
+    # Only the seed is entered outside ``allowed``.
+    assert _layers(g.out_mask, 0b1, ~0b1) == [0b1, 0b10, 0b100, 0b1000]
+    assert _layers(g.out_mask, 0b1, ~0b10) == [0b1]
 
 
 def test_shortest_path_lengths_match_bfs_oracle():
@@ -247,6 +248,13 @@ def test_shortest_path_lengths_match_bfs_oracle():
                         dist[v] = dist[u] + 1
                         nxt.append(v)
             frontier = nxt
+        # The layers toward dst over in-edges are disjoint, their union is the
+        # avoiding ancestors, and each node sits in the layer of its hop count.
+        layers = _layers(g.in_mask, 1 << dst, ~sum(1 << v for v in avoid))
+        assert all(not a & b for a, b in itertools.combinations(layers, 2))
+        assert set(NodeSet(sum(layers), g.n)) == naive_ancestors(g, {dst}, avoid)
+        hops = naive_hops(g, dst, avoid)
+        assert {v: d for d, m in enumerate(layers) for v in NodeSet(m, g.n)} == hops
         path = _shortest_path(g, src, dst, avoid)
         if dst not in dist:
             assert path is None

@@ -26,6 +26,7 @@ from prodform import (
     enumerate_sourced_cuts,
     is_jaf,
     make_relation,
+    mutually_avoiding_ancestors,
     random_rates,
     rate_assignment,
     s_relation,
@@ -46,6 +47,7 @@ from util import (
     corpus,
     corpus_chain,
     ladder7,
+    naive_hops,
     nodeset,
     one_way_cycle,
     one_way_cycle_plus,
@@ -618,3 +620,36 @@ def test_witness_separates_every_bound_pair_in_the_examples():
             ratio_a = _ratio(c, w.q_a, i, j)
             ratio_b = _ratio(c, w.q_b, i, j)
             assert abs(ratio_a / ratio_b - 1.0) > 1e-3
+
+
+def _assert_smallest_step_shortest_path(g: DirectedGraph, path: tuple[int, ...], hops: dict[int, int]) -> None:
+    """``path`` is as long as ``hops`` says, each step to the lowest-index out-neighbour one hop closer."""
+    assert len(path) - 1 == hops[path[0]]
+    for here, step in zip(path, path[1:]):
+        assert step == min(v for v in g.out_adj[here] if hops.get(v) == hops[here] - 1)
+
+
+def test_witness_picks_the_nearest_joint_ancestor_and_smallest_step_paths():
+    # Reference: the two avoiding-ancestor closures, and hop counts by edge
+    # relaxation rather than breadth-first layers.
+    rng = random.Random(2503)
+    witnessed = 0
+    for _ in range(40):
+        g = random_strongly_connected(rng, rng.randint(2, 10), extra_edge_prob=rng.choice([0.1, 0.3]))
+        c = FormalChain(g)
+        for i, j in itertools.permutations(range(g.n), 2):
+            w = theorem3_witness(c, i, j)
+            i_set, j_set = NodeSet.of([i], g.n), NodeSet.of([j], g.n)
+            anc_i, anc_j = mutually_avoiding_ancestors(c, i_set, j_set)
+            assert (w is None) == anc_i.isdisjoint(anc_j) == is_jaf(c, i_set, j_set)
+            if w is None:
+                continue
+            witnessed += 1
+            to_i, to_j = naive_hops(g, i, {j}), naive_hops(g, j, {i})
+            assert w.joint_ancestor == min(anc_i & anc_j, key=lambda v: (to_i[v], v))
+            assert w.path_a[0] == w.path_b[0] == w.joint_ancestor
+            assert w.path_a[-1] == i and w.path_b[-1] == j
+            _assert_smallest_step_shortest_path(g, w.path_a, to_i)
+            _assert_smallest_step_shortest_path(g, w.path_b, to_j)
+            assert set(w.path_a) & set(w.path_b) == {w.joint_ancestor}
+    assert witnessed > 100

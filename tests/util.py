@@ -228,6 +228,19 @@ def naive_ancestors(g: DirectedGraph, seed: set[int], avoid: set[int] = frozense
     return result
 
 
+def naive_hops(g: DirectedGraph, target: int, avoid: set[int] = frozenset()) -> dict[int, int]:
+    """Fewest edges from each node to ``target`` avoiding ``avoid``, relaxing every edge to a fixpoint."""
+    hops = {target: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edge_list:
+            if v in hops and u not in avoid and (u not in hops or hops[u] > hops[v] + 1):
+                hops[u] = hops[v] + 1
+                changed = True
+    return hops
+
+
 def set_avoiding_subgraph(g: DirectedGraph, avoid: NodeSet) -> tuple[DirectedGraph, tuple[int, ...]]:
     """The subgraph induced on ``V - avoid``, with labels preserved, and its parent index.
 
