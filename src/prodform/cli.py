@@ -35,7 +35,7 @@ from .errors import (
 )
 from .factors import Relation, relations_to_json
 from .graph_core import DirectedGraph
-from .higher_level import Analysis, _first_level, analyze, broad_pair_scan, higher_level_cut_graph
+from .higher_level import Analysis, analyze, broad_pair_scan, higher_level_cut_graph
 from .models import Family, ModelSpec, parameter_names
 from .models import generate as generate_model
 from .numeric import (
@@ -48,7 +48,7 @@ from .numeric import (
     relation_residuals,
     stationary,
 )
-from .product_form import ChainKind, FormalChain, cut_graph
+from .product_form import ChainKind, FormalChain, _free_crossings, cut_graph
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -234,16 +234,15 @@ def _names(labels: Sequence[str], nodes: Iterable[int]) -> list[str]:
 def _report_body(c: FormalChain, found: Analysis) -> dict:
     """The ``factors``, ``first_level`` and ``levels`` entries of the analyze report."""
     labels = c.graph.labels
-    first, *higher = found.levels
-    first_count = len(first.hyperedges)
+    first_count = len(found.pairs)
     factors, relations = relations_to_json(found.relations, labels)
     first_level = {
-        "edges": [_names(labels, (h.comp_i, h.comp_j)) for h in first.hyperedges],
-        "components": [_names(labels, comp) for comp in first.components],
+        "edges": [_names(labels, pair) for pair in found.pairs],
+        "components": [_names(labels, comp) for comp in found.components],
         "relations": relations[:first_count],
     }
     levels = []
-    for lv in higher:
+    for lv in found.higher:
         entry = {
             "level": lv.level,
             "hyperedges": [
@@ -294,7 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     relations = found.relations
     # A level-1 cut's balance is its relation, pi_i * f_ij = pi_j * f_ji, whose factors
     # are the crossing sums out of the cut's two sources; only higher levels need cut rows.
-    hyperedges = [(lv.level, h.cut) for lv in found.levels[1:] for h in lv.hyperedges]
+    hyperedges = [(lv.level, h.cut) for lv in found.higher for h in lv.hyperedges]
     cuts = [cut for _, cut in hyperedges]
     fault_name = None
     if args.fault is not None:
@@ -379,13 +378,18 @@ def _random_chain(rng: random.Random, n: int) -> FormalChain:
 
 
 def _oracle_cuts(c: FormalChain) -> tuple[dict, bool]:
-    """The brute-force cuts against the scan's level-1 pairs and cut sides."""
-    labels = c.graph.labels
+    """The brute-force cuts against the scan's level-1 pairs and crossing edges."""
+    g = c.graph
+    labels = g.labels
     brute = enumerate_sourced_cuts(c)
-    scanned = {(h.comp_i, h.comp_j): h.cut for h in _first_level(c)}
-    # A wrong side names its pair in both lists.
-    missing = sorted(_names(labels, pair) for pair, _ in brute.items() - scanned.items())
-    extra = sorted(_names(labels, pair) for pair, _ in scanned.items() - brute.items())
+    out = g.out_mask
+    crossed = {
+        (i, j): (out[i] & ~cut.side_a.mask, out[j] & cut.side_a.mask) for (i, j), cut in brute.items()
+    }
+    scanned = {(i, j): (across_i, across_j) for i, j, across_i, across_j in _free_crossings(g)}
+    # A wrong crossing names its pair in both lists.
+    missing = sorted(_names(labels, pair) for pair, _ in crossed.items() - scanned.items())
+    extra = sorted(_names(labels, pair) for pair, _ in scanned.items() - crossed.items())
     agreed = not missing and not extra
     report = {
         "mode": "cuts",

@@ -245,29 +245,23 @@ def connectivity_witness(g: DirectedGraph) -> tuple[int, int] | None:
 # ---- traversal primitives ----
 
 
-def _blocks(g: DirectedGraph) -> list[tuple[int, dict[int, int]]]:
-    """The blocks (biconnected components) of the undirected graph under ``g``.
+def _blocks(g: DirectedGraph) -> list[int]:
+    """The blocks (biconnected components) of the undirected graph under ``g``, as masks.
 
-    Each block is ``(mask, hang)``: ``hang`` maps each articulation point w of
-    the block to the nodes that reach the block only through w, which are the
-    components of the undirected graph minus w that miss the block. Node 0
-    must reach every node. An iterative depth-first search (Hopcroft & Tarjan
-    1973) closes a block at tree edge (u, v) when nothing below v has an edge
-    above u; the block is u plus the nodes found from v that no earlier block
-    took. A node's neighbours found before it are its ancestors, so its own
-    edges above are read once, when it is found.
+    Node 0 must reach every node. An iterative depth-first search (Hopcroft &
+    Tarjan 1973) closes a block at tree edge (u, v) when nothing below v has
+    an edge above u; the block is u plus the nodes found from v that no
+    earlier block took. A node's neighbours found before it are its
+    ancestors, so its own edges above are read once, when it is found.
     """
     n = g.n
     adj = [o | i for o, i in zip(g.out_mask, g.in_mask)]
     order = [0] * n
     low = [0] * n
-    # Each node's search subtree, and the subtrees of the blocks closed at it.
-    sub = [0] * n
-    below = [0] * n
-    seen = sub[0] = 1
+    seen = 1
     path = [0]
     open_nodes = [0]
-    closed = []
+    blocks = []
     while path:
         v = path[-1]
         if rest := adj[v] & ~seen:
@@ -282,7 +276,6 @@ def _blocks(g: DirectedGraph) -> list[tuple[int, dict[int, int]]]:
                     top = order[b.bit_length() - 1]
                 up ^= b
             low[w] = top
-            sub[w] = bit
             path.append(w)
             open_nodes.append(w)
             continue
@@ -290,32 +283,13 @@ def _blocks(g: DirectedGraph) -> list[tuple[int, dict[int, int]]]:
         if not path:
             break
         u = path[-1]
-        sub[u] |= sub[v]
         if low[v] < low[u]:
             low[u] = low[v]
         if low[v] >= order[u]:
-            members = 1 << u
+            members = 1 << u | 1 << v
             while (w := open_nodes.pop()) != v:
                 members |= 1 << w
-            closed.append((members | 1 << v, u, v))
-            below[u] |= sub[v]
-    full = (1 << n) - 1
-    if len(closed) == 1:
-        return [(full, {})]
-    blocks = []
-    for members, u, v in closed:
-        # Off u hangs all but v's subtree; off any other member, the blocks closed at it.
-        hang = {}
-        if above := full ^ sub[v] ^ 1 << u:
-            hang[u] = above
-        rest = members ^ 1 << u
-        while rest:
-            bit = rest & -rest
-            w = bit.bit_length() - 1
-            if below[w]:
-                hang[w] = below[w]
-            rest ^= bit
-        blocks.append((members, hang))
+            blocks.append(members)
     return blocks
 
 

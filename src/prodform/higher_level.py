@@ -10,15 +10,16 @@ level.
 One lane scan (``product_form._free_lanes``, which also gives the
 correctness argument) decides every component pair of a level at once, and
 the avoiding-ancestor sides it leaves behind are the cuts of the free pairs.
-Level 1 runs it once per biconnected block (``product_form._free_pairs``).
-One level loop, ``_climb``, merges and rescans from level 2 up, starting
-from the level-1 components; it skips pairs whose answer is already known,
-and says which and why that is exact.
+Level 1 runs it once per biconnected block and reads only each free pair's
+crossing edges (``product_form._free_crossings``). One level loop,
+``_climb``, merges and rescans from level 2 up, starting from the level-1
+components; it skips pairs whose answer is already known, and says which
+and why that is exact.
 
 ``analyze`` is the whole pipeline behind the command line's ``analyze`` and
-``verify``: level 1 with its cuts, the levels above it, and every relation
-and cut they check. ``higher_level_cut_graph`` enters the same loop from
-``cut_graph``, which reads no cut sides.
+``verify``: level 1's pairs, the levels above it with their cuts, and every
+relation and cut they check. ``higher_level_cut_graph`` enters the same loop
+from ``cut_graph``.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from .product_form import (
     CutGraph,
     FormalChain,
     _crossing_sum,
+    _free_crossings,
     _free_lanes,
-    _free_pairs,
     _lane_sides,
     _leaving,
     cut_graph,
@@ -93,17 +94,6 @@ def _scan_pairs(c: FormalChain, comps: Sequence[int], settled: set[int]) -> tupl
     return tuple(edges)
 
 
-def _first_level(c: FormalChain) -> tuple[HyperEdge, ...]:
-    """The hyperedges of the all-singletons partition, each sourced at its pair (``_free_pairs``)."""
-    n = c.graph.n
-    edges = []
-    for i, _, sides in _free_pairs(c.graph):
-        source_a = NodeSet(1 << i, n)
-        for j, side_a in sides:
-            edges.append(HyperEdge(i, j, Cut(NodeSet(side_a, n), source_a, NodeSet(1 << j, n))))
-    return tuple(edges)
-
-
 def _climb(c: FormalChain, comps: list[int], max_level: int) -> list[CutHypergraph]:
     """Merge and rescan from level 2 up to ``max_level``, from level 1's partition ``comps``.
 
@@ -153,13 +143,11 @@ _HopFactors = dict[tuple[int, int], tuple[FactorExpr, FactorExpr]]
 _Sums = dict[tuple[int, int], SumExpr]
 
 
-def _shared_sum(c: FormalChain, sums: _Sums, node: int, side_a: int, into_a: bool) -> SumExpr:
-    """``_crossing_sum(c, node, side_a, into_a)``, built once per key of ``sums``."""
-    out = c.graph.out_mask[node]
-    key = node, out & side_a if into_a else out & ~side_a
-    found = sums.get(key)
+def _shared_sum(sums: _Sums, node: int, crossing: int) -> SumExpr:
+    """``_crossing_sum(node, crossing)``, built once per key of ``sums``."""
+    found = sums.get((node, crossing))
     if found is None:
-        found = sums[key] = _crossing_sum(c, node, side_a, into_a)
+        found = sums[node, crossing] = _crossing_sum(node, crossing)
     return found
 
 
@@ -196,8 +184,9 @@ def _side_factor(
     if sources.mask & ~sum(layers):
         raise InvalidArgumentError("nodes are not connected in the first-level graph")
     terms: list[FactorExpr] = []
+    out = c.graph.out_mask
     for node in sorted(sources):
-        crossing = _shared_sum(c, sums, node, side_a, into_a)
+        crossing = _shared_sum(sums, node, out[node] & (side_a if into_a else ~side_a))
         if node == star:
             terms.append(crossing)
             continue
@@ -259,54 +248,54 @@ def sps_relation(c: FormalChain, h: HyperEdge, i_star: int, j_star: int) -> Rela
 class Analysis:
     """Everything ``analyze`` reports and ``verify`` checks, before formatting.
 
-    ``levels[0]`` is level 1, its hyperedges the cut-graph edges sorted by
-    their label pairs. ``relations`` lists the first-level ones in that
-    order, then the level-2 ones in hyperedge order.
+    Level 1 is held as its cut-graph edges ``pairs``, each (i, j) with i < j
+    and sorted by their label pairs, and its ``components``; it holds no cut,
+    and ``sourced_cut(c, i, j)`` gives a pair's. ``higher`` holds levels 2 and
+    up. ``relations`` lists the first-level ones in pair order, then the
+    level-2 ones in hyperedge order.
     """
 
-    levels: list[CutHypergraph]
+    pairs: tuple[tuple[int, int], ...]
+    components: tuple[NodeSet, ...]
+    higher: list[CutHypergraph]
     relations: list[Relation]
 
 
 def analyze(c: FormalChain, max_level: int) -> Analysis:
     """Levels 1 to ``max_level``, and every first- and second-level relation.
 
-    Level 1 is the all-singletons partition: its hyperedges are the cut-graph
-    edges, each with its sourced cut read from the lane scan; ``_climb``
-    merges and rescans from there. The level-2 relations take their per-hop
-    factors from the first-level relations. Every relation that needs the
-    same crossing sum holds the same object, so there are at most as many
-    distinct S factors as (node, crossing out-neighbours) pairs.
+    Level 1 is the all-singletons partition: its pairs are the cut-graph
+    edges, each with the crossing edges of its sourced cut read from the lane
+    scan; ``_climb`` merges and rescans from there. The level-2 relations
+    take their per-hop factors from the first-level relations. Every relation
+    that needs the same crossing sum holds the same object, so there are at
+    most as many distinct S factors as (node, crossing out-neighbours) pairs.
     """
     if max_level < 1:
         raise InvalidArgumentError(f"max_level must be at least 1, got {max_level}")
     g = c.graph
-    # Labels are unique, so label ranks order the edges as their sorted label pairs would.
+    # Labels are unique, so label ranks order the pairs as their sorted label pairs would.
     rank = {v: r for r, v in enumerate(sorted(range(g.n), key=g.labels.__getitem__))}
     first = sorted(
-        _first_level(c),
-        key=lambda h: (a, b) if (a := rank[h.comp_i]) < (b := rank[h.comp_j]) else (b, a),
+        _free_crossings(g),
+        key=lambda t: (a, b) if (a := rank[t[0]]) < (b := rank[t[1]]) else (b, a),
     )
-    comps = _components([1 << v for v in range(g.n)], [(h.comp_i, h.comp_j) for h in first])
-    level1 = CutHypergraph(1, tuple(first), tuple(NodeSet(m, g.n) for m in comps))
-    levels = [level1, *_climb(c, comps, max_level)]
+    pairs = tuple((i, j) for i, j, _, _ in first)
+    comps = _components([1 << v for v in range(g.n)], pairs)
+    higher = _climb(c, comps, max_level)
     sums: _Sums = {}
-    relations = []
-    # Each equals s_relation(c, a, b), its sourced cut read from the scan: a < b,
-    # as level 1 scans the singletons in index order, and both sides are sums
-    # of atoms, so the rank is S.
-    for h in first:
-        side_a = h.cut.side_a.mask
-        f_ab = _shared_sum(c, sums, h.comp_i, side_a, False)
-        f_ba = _shared_sum(c, sums, h.comp_j, side_a, True)
-        relations.append(Relation(h.comp_i, h.comp_j, f_ab, f_ba, LEVEL_S))
-    if len(levels) > 1:
+    # Each equals s_relation(c, i, j): i < j, and both sides are sums of atoms, so the rank is S.
+    relations = [
+        Relation(i, j, _shared_sum(sums, i, across_i), _shared_sum(sums, j, across_j), LEVEL_S)
+        for i, j, across_i, across_j in first
+    ]
+    if higher:
         hops, adj = _hop_factors(g.n, relations)
         relations.extend(
             _sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b), hops, adj, sums)
-            for h in levels[1].hyperedges
+            for h in higher[0].hyperedges
         )
-    return Analysis(levels, relations)
+    return Analysis(pairs, tuple(NodeSet(m, g.n) for m in comps), higher, relations)
 
 
 # ---- broad search ----

@@ -27,17 +27,19 @@ outside B hangs off one articulation point w of B: every path between x and
 B passes w. A path that leaves B returns through the node it left by, so
 avoiding-ancestor sets inside B are those of the induced subgraph G[B]; and
 x reaches p or q first exactly when w does (w is p or q itself, or holds
-that verdict). So the pair is free in G exactly when it is free in G[B],
-and its side A in G is its side in G[B] plus all that hangs off the
-articulation points on that side. Blocks cost O(|V| + |E|) to find (Hopcroft
-& Tarjan 1973), so level 1 costs the sum of |B| |E_B| over blocks rather
-than |V| |E|.
+that verdict). So the pair is free in G exactly when it is free in G[B].
+Its crossing edges lie inside B: if p has an edge to a node x outside B,
+x hangs off p itself (the edge joins x to B at p), so every path from x to q
+passes p; x is on p's side, and the edge does not cross. Likewise for q.
+Blocks cost O(|V| + |E|) to find (Hopcroft & Tarjan 1973), so level 1
+costs the sum of |B| |E_B| over blocks rather than |V| |E|, and it builds
+no cut side.
 """
 from __future__ import annotations
 
 import enum
 import reprlib
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NotStronglyConnectedError
@@ -48,7 +50,6 @@ from .graph_core import (
     _blocks,
     _closure,
     _components,
-    _gather,
     ancestors_avoiding,
     connectivity_witness,
 )
@@ -147,10 +148,14 @@ def _sources(g: DirectedGraph, a_mask: int, b_mask: int) -> tuple[int, int]:
     return _leaving(g, a_mask, b_mask), _leaving(g, b_mask, a_mask)
 
 
-def _crossing_sum(c: FormalChain, node: int, side_a: int, into_a: bool) -> SumExpr:
-    """The rates of ``node``'s edges into side A (``into_a``) or out of it, given A's mask."""
-    atoms = [RateAtom(node, t) for t in c.graph.out_adj[node] if (side_a >> t & 1) == into_a]
-    assert atoms, "a cut source must have at least one crossing edge"
+def _crossing_sum(node: int, crossing: int) -> SumExpr:
+    """The rates of ``node``'s edges into the nodes of mask ``crossing``."""
+    assert crossing, "a cut source must have at least one crossing edge"
+    atoms = []
+    while crossing:
+        low = crossing & -crossing
+        atoms.append(RateAtom(node, low.bit_length() - 1))
+        crossing ^= low
     return SumExpr(tuple(atoms))
 
 
@@ -195,7 +200,8 @@ def s_factors(c: FormalChain, i: int, j: int) -> tuple[SumExpr, SumExpr] | None:
     if cut is None:
         return None
     side_a = cut.side_a.mask
-    return _crossing_sum(c, i, side_a, False), _crossing_sum(c, j, side_a, True)
+    out = c.graph.out_mask
+    return _crossing_sum(i, out[i] & ~side_a), _crossing_sum(j, out[j] & side_a)
 
 
 def s_relation(c: FormalChain, i: int, j: int) -> Relation | None:
@@ -345,61 +351,62 @@ def _lane_sides(state: list[int], free: int) -> Iterator[tuple[int, int]]:
         yield k + low, int(rows[k >> 3 :: width].translate(_BIT_DIGITS[k & 7])[::-1], 2)
 
 
-def _free_pairs(g: DirectedGraph) -> Iterator[tuple[int, int, Iterable[tuple[int, int]]]]:
-    """Every free pair of single nodes, grouped by block and by the pair's lower node i.
+def _free_crossings(g: DirectedGraph) -> Iterator[tuple[int, int, int, int]]:
+    """Every free pair of single nodes with the crossing edges of its cut, block by block.
 
-    Yields ``(i, later, sides)``: ``later`` is the mask of the nodes j > i of
-    the block that are free with i, and ``sides`` gives ``(j, side_a)`` for
-    each of them, ``side_a`` being the mask of the cut side that holds i.
-    The cut's sources are exactly i and j. Each block is decided on its own
-    (see the module docstring): a chain that is one block is scanned as it
-    is, a two-node block is a free pair, and a larger block is scanned as
-    its induced subgraph, each side then grown by what hangs off its
-    articulation points. The blocks come in search order. A one-block chain
-    reads its sides lazily, so a caller that needs only ``later`` pays for
-    none of them.
+    Yields ``(i, j, across_i, across_j)`` with i < j: ``across_i`` is the
+    mask of i's out-neighbours outside i's cut side, and ``across_j`` that of
+    j's out-neighbours inside it. The cut's sources are exactly i and j. Each
+    block is decided on its own (see the module docstring): a chain that is
+    one block is scanned as it is, a two-node block is a free pair, and a
+    larger block is scanned as its induced subgraph. Node t is on i's side
+    exactly when bit j of its lane state is set, so each mask is read from
+    the states of i's and j's out-neighbours in the block; those outside it
+    are never crossed into. The blocks come in search order.
     """
     n = g.n
-    full = (1 << n) - 1
-    for block, hang in _blocks(g):
-        if block == full:
-            for i, _, free, state in _free_lanes(g.in_adj, g.out_adj, [1 << v for v in range(n)]):
-                if free:
-                    yield i, free, _lane_sides(state, free)
-            return
+    for block in _blocks(g):
         if block.bit_count() == 2:
             i = (block & -block).bit_length() - 1
             j = block.bit_length() - 1
-            yield i, 1 << j, [(j, 1 << i | hang.get(i, 0))]
+            yield i, j, 1 << j, 1 << i
             continue
-        nodes = list(NodeSet(block, n))
-        local = {v: k for k, v in enumerate(nodes)}
-        in_adj = [[local[u] for u in g.in_adj[v] if block >> u & 1] for v in nodes]
-        out_adj = [[local[w] for w in g.out_adj[v] if block >> w & 1] for v in nodes]
+        if block == (1 << n) - 1:
+            nodes = range(n)
+            in_adj, out_adj = g.in_adj, g.out_adj
+        else:
+            nodes = list(NodeSet(block, n))
+            local = {v: k for k, v in enumerate(nodes)}
+            in_adj = [[local[u] for u in g.in_adj[v] if block >> u & 1] for v in nodes]
+            out_adj = [[local[w] for w in g.out_adj[v] if block >> w & 1] for v in nodes]
         bits = [1 << v for v in nodes]
-        grown = [bit | hang.get(v, 0) for v, bit in zip(nodes, bits)]
         for p, _, free, state in _free_lanes(in_adj, out_adj, [1 << k for k in range(len(nodes))]):
-            if free:
-                sides = [(nodes[q], _gather(side, grown)) for q, side in _lane_sides(state, free)]
-                yield nodes[p], _gather(free, bits), sides
+            out_p = out_adj[p]
+            while free:
+                lane = free & -free
+                free ^= lane
+                q = lane.bit_length() - 1
+                across_p = across_q = 0
+                for w in out_p:
+                    if not state[w] & lane:
+                        across_p |= bits[w]
+                for w in out_adj[q]:
+                    if state[w] & lane:
+                        across_q |= bits[w]
+                yield nodes[p], nodes[q], across_p, across_q
 
 
 def cut_graph(c: FormalChain) -> CutGraph:
     """Find every unordered node pair with a sourced cut and bundle the results.
 
-    The pairs are those ``_free_pairs`` finds: a free pair of single nodes
-    has exactly those two nodes as sources, so its cut is the one sourced at
-    them. ``sourced_cut`` keeps the per-pair closures as an independent route.
-    Components are computed eagerly, ordered by their lowest node, and every
-    node appears in one, isolated nodes as singletons.
+    The pairs are those ``_free_crossings`` finds: a free pair of single
+    nodes has exactly those two nodes as sources, so its cut is the one
+    sourced at them. ``sourced_cut`` keeps the per-pair closures as an
+    independent route. Components are computed eagerly, ordered by their
+    lowest node, and every node appears in one, isolated nodes as singletons.
     """
     n = c.graph.n
-    edges = []
-    for i, later, _ in _free_pairs(c.graph):
-        while later:
-            low = later & -later
-            edges.append((i, low.bit_length() - 1))
-            later ^= low
+    edges = [(i, j) for i, j, _, _ in _free_crossings(c.graph)]
     components = _components([1 << v for v in range(n)], edges)
     return CutGraph(frozenset(edges), tuple(NodeSet(m, n) for m in components))
 

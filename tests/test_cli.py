@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from prodform import (
     stationary,
 )
 
-from util import complement, reference_cut_residual, reference_relation_residual
+from util import reference_cut_residual, reference_relation_residual
 
 # ---- helpers ----
 
@@ -462,7 +461,7 @@ def test_verify_report_residuals_equal_the_reference_loop(tmp_path, family: str)
     _, c, _ = cli._load(path)
     found = analyze(c, max_level=2)
     # Level-1 cuts are checked as their relations; the cut rows are levels 2 and up.
-    cuts = [h.cut for lv in found.levels[1:] for h in lv.hyperedges]
+    cuts = [h.cut for lv in found.higher for h in lv.hyperedges]
     out = str(tmp_path / "verify.json")
     for seeds, fault in ((2, False), (1, True)):
         flags = ["--seeds", str(seeds)] + (["--fault"] if fault else [])
@@ -600,7 +599,7 @@ def test_oracle_cut_rows_write_side_a_only(tmp_path):
 def test_oracle_cuts_fail_when_the_scan_disagrees(tmp_path, monkeypatch):
     path = _generate(tmp_path, "ladder")
     out = str(tmp_path / "oracle.json")
-    monkeypatch.setattr(cli, "_first_level", lambda c: ())
+    monkeypatch.setattr(cli, "_free_crossings", lambda g: iter(()))
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
     report = _read_json(out)
     assert report["match"] is False
@@ -617,13 +616,14 @@ def test_oracle_cuts_name_a_wrong_side_in_both_lists(tmp_path, monkeypatch):
     out = str(tmp_path / "oracle.json")
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_OK
     right = _read_json(out)
-    scan = cli._first_level
+    scan = cli._free_crossings
 
-    def one_wrong_side(c):
-        h, *rest = scan(c)
-        return (replace(h, cut=replace(h.cut, side_a=complement(h.cut.side_a))), *rest)
+    def one_wrong_crossing(g):
+        # A wrong side shows as a wrong crossing: the first pair's i crosses into its other out-neighbours.
+        (i, j, across_i, across_j), *rest = scan(g)
+        return iter([(i, j, g.out_mask[i] ^ across_i, across_j), *rest])
 
-    monkeypatch.setattr(cli, "_first_level", one_wrong_side)
+    monkeypatch.setattr(cli, "_free_crossings", one_wrong_crossing)
     assert cli.main(["oracle", path, "--mode", "cuts", "--out", out]) == cli.EXIT_FAILURE
     report = _read_json(out)
     assert report["match"] is False

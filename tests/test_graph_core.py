@@ -315,29 +315,15 @@ def test_blocks_match_brute_force_on_random_and_glued_chains():
             g = glued_chain(rng, rng.randint(1, 4), 4)
         if k % 3 == 0:
             g = DirectedGraph(g.labels, sorted(set(g.edge_list) | {(0, 0)}))
-        adj = _undirected(g)
         found = _blocks(g)
-        assert {frozenset(NodeSet(m, g.n)) for m, _ in found} == _brute_blocks(g)
+        assert {frozenset(NodeSet(m, g.n)) for m in found} == _brute_blocks(g)
         assert len(found) == len(_brute_blocks(g))
-        for mask, hang in found:
-            block = set(NodeSet(mask, g.n))
-            for w in block:
-                # Off w hang the parts of the graph without w that miss the block.
-                away = set().union(*(p for p in _parts(adj, set(range(g.n)) - {w}) if not p & block))
-                assert set(NodeSet(hang.get(w, 0), g.n)) == away
-                assert hang.get(w, 1) != 0
         multi += len(found) > 1
     assert multi > 100
 
 
 def test_blocks_of_the_family_shapes():
     assert _blocks(DirectedGraph(["0"], [])) == []
-    # One block, so nothing hangs off any of its nodes.
-    assert _blocks(two_way_cycle(6)) == [((1 << 6) - 1, {})]
-    # A path's blocks are its edges; off node i hang the nodes on its far side.
-    path = sorted(_blocks(birth_death(4)))
-    assert path == [
-        (0b0011, {1: 0b1100}),
-        (0b0110, {1: 0b0001, 2: 0b1000}),
-        (0b1100, {2: 0b0011}),
-    ]
+    assert _blocks(two_way_cycle(6)) == [(1 << 6) - 1]
+    # A path's blocks are its edges.
+    assert sorted(_blocks(birth_death(4))) == [0b0011, 0b0110, 0b1100]

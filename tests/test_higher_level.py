@@ -30,7 +30,7 @@ from prodform import cli, higher_level, product_form
 from prodform.factors import LEVEL_S, ProductExpr
 from prodform.graph_core import DirectedGraph, NodeSet, _blocks, connectivity_witness
 from prodform.numeric import random_rates, stationary, verify_relation
-from prodform.product_form import _sources
+from prodform.product_form import Cut, _sources
 
 from util import (
     atom_edges,
@@ -459,8 +459,9 @@ def test_lanes_past_the_first_byte_hold_the_closures():
     ):
         c = generate(spec)
         # The partitions levels 2 and 3 scan; batchv1's level 3 has one part.
-        for level in analyze(c, 2).levels:
-            partitions.append((c, list(level.components)))
+        found = analyze(c, 2)
+        for components in [found.components, *(level.components for level in found.higher)]:
+            partitions.append((c, list(components)))
     lanes = []
     for c, comps in partitions:
         edges = _assert_lanes_hold_the_closures(c, comps)
@@ -511,22 +512,32 @@ _ANALYZE_SPECS = _RESCAN_SPECS + [
 ]
 
 
+def _sourced_crossings(c: FormalChain, i: int, j: int) -> tuple[int, int]:
+    """i's out-neighbours outside its side of ``sourced_cut(c, i, j)``, and j's inside it, as masks."""
+    side_a = sourced_cut(c, i, j).side_a.mask
+    out = c.graph.out_mask
+    return out[i] & ~side_a, out[j] & side_a
+
+
+def _atom_mask(factor) -> int:
+    return sum(1 << v for _, v in atom_edges(factor))
+
+
 def _assert_first_level_matches_the_closures(c: FormalChain) -> int:
-    # analyze reads level 1 from the lane scan; the per-pair closures must agree.
+    # analyze reads level 1's crossing edges from the lane scan; the per-pair closures must agree.
     found = analyze(c, 6)
     c1 = cut_graph(c)
-    first = found.levels[0]
-    assert first.level == 1
-    assert first.components == c1.components
+    assert found.components == c1.components
     labels = c.graph.labels
-    pairs = [(h.comp_i, h.comp_j) for h in first.hyperedges]
+    pairs = list(found.pairs)
     assert pairs == sorted(c1.edges, key=lambda e: sorted((labels[e[0]], labels[e[1]])))
-    cuts = [h.cut for lv in found.levels[:2] for h in lv.hyperedges]
-    assert len(cuts) == len(found.relations) >= len(pairs)
-    for (a, b), cut, relation in zip(pairs, cuts, found.relations):
-        assert cut == sourced_cut(c, a, b)
+    second = found.higher[0].hyperedges if found.higher else ()
+    assert len(found.relations) == len(pairs) + len(second)
+    for (a, b), relation in zip(pairs, found.relations):
+        crossings = _atom_mask(relation.lhs_factor), _atom_mask(relation.rhs_factor)
+        assert crossings == _sourced_crossings(c, a, b)
         assert relation == s_relation(c, a, b)
-    assert found.levels[1:] == higher_level_cut_graph(c, 6, c1)
+    assert found.higher == higher_level_cut_graph(c, 6, c1)
     return len(c1.edges)
 
 
@@ -538,7 +549,7 @@ def test_analyze_first_level_matches_the_closures_on_families(spec):
     _assert_first_level_matches_the_closures(c)
     # analyze and higher_level_cut_graph enter the one level loop alike.
     for k in range(2, 6):
-        assert analyze(c, k).levels[1:] == higher_level_cut_graph(c, k)
+        assert analyze(c, k).higher == higher_level_cut_graph(c, k)
 
 
 def test_analyze_first_level_matches_the_closures_on_random_chains():
@@ -558,21 +569,20 @@ def test_analyze_first_level_matches_the_closures_on_random_chains():
     ids=["twoway-5", "one-node-self-loop"],
 )
 def test_analyze_first_level_without_edges_keeps_every_node_apart(c):
-    (first,) = analyze(c, 6).levels
-    assert first.level == 1
-    assert first.hyperedges == ()
-    assert first.components == tuple(NodeSet(1 << v, c.n) for v in range(c.n))
+    found = analyze(c, 6)
+    assert found.pairs == ()
+    assert found.higher == []
+    assert found.components == tuple(NodeSet(1 << v, c.n) for v in range(c.n))
 
 
 # ---- the first level, block by block ----
 
 
-def _level_one(hyperedges) -> dict:
-    found = {
-        (h.comp_i, h.comp_j): (h.cut.side_a.mask, h.cut.source_a.mask, h.cut.source_b.mask)
-        for h in hyperedges
-    }
-    assert len(found) == len(hyperedges)
+def _level_one(c: FormalChain) -> dict:
+    """Each level-1 pair's two crossing masks, as ``_free_crossings`` reads them."""
+    crossings = list(product_form._free_crossings(c.graph))
+    found = {(i, j): (across_i, across_j) for i, j, across_i, across_j in crossings}
+    assert len(found) == len(crossings)
     return found
 
 
@@ -581,9 +591,16 @@ def test_block_split_matches_the_whole_graph_scan_on_glued_chains():
     multi = 0
     for k in range(400):
         c = FormalChain(glued_chain(rng, rng.randint(1, 6), 7))
+        out = c.graph.out_mask
         singletons = [1 << v for v in range(c.n)]
-        whole = _level_one(higher_level._scan_pairs(c, singletons, set()))
-        assert _level_one(higher_level._first_level(c)) == whole
+        # The whole-graph scan's sides, cut down to the sources' crossing edges.
+        whole = {
+            (h.comp_i, h.comp_j): (out[h.comp_i] & ~h.cut.side_a.mask, out[h.comp_j] & h.cut.side_a.mask)
+            for h in higher_level._scan_pairs(c, singletons, set())
+        }
+        split = _level_one(c)
+        assert split == whole
+        assert all(crossings == _sourced_crossings(c, i, j) for (i, j), crossings in split.items())
         assert cut_graph(c).edges == set(whole)
         multi += len(_blocks(c.graph)) > 1
     assert multi > 300
@@ -601,7 +618,7 @@ def test_block_split_matches_the_whole_graph_scan_on_glued_chains():
 def test_first_level_scans_no_graph_larger_than_a_block(monkeypatch, spec, largest):
     # A work bound, not a timing: every lane scan of level 1 runs on one block.
     c = generate(spec)
-    assert max(mask.bit_count() for mask, _ in _blocks(c.graph)) == largest
+    assert max(mask.bit_count() for mask in _blocks(c.graph)) == largest
     sizes = []
     scan = product_form._free_lanes
 
@@ -610,7 +627,7 @@ def test_first_level_scans_no_graph_larger_than_a_block(monkeypatch, spec, large
         return scan(in_adj, *args)
 
     monkeypatch.setattr(product_form, "_free_lanes", counted)
-    higher_level._first_level(c)
+    analyze(c, 1)
     cut_graph(c)
     assert all(size <= largest for size in sizes)
     # Two-node blocks are free pairs without a scan; qbd scans each ten-node cycle.
@@ -627,10 +644,56 @@ def test_first_level_scans_a_one_block_chain_whole(monkeypatch):
         return scan(in_adj, *args)
 
     monkeypatch.setattr(product_form, "_free_lanes", counted)
-    assert len(higher_level._first_level(c)) == 60 * 59 // 2
+    assert len(analyze(c, 1).pairs) == 60 * 59 // 2
     assert len(cut_graph(c).edges) == 60 * 59 // 2
     # One scan of the chain's own adjacency each, with no subgraph copy.
     assert len(graphs) == 2 and all(adj is c.graph.in_adj for adj in graphs)
+
+
+def test_first_level_builds_no_cut_side(monkeypatch):
+    # A work bound: level 1 reads its crossing edges from the lane states alone.
+    c = generate(ModelSpec(Family.ONE_WAY_CYCLE, {"n": 60}))
+    sides = []
+    cuts = []
+    read = product_form._lane_sides
+    build = Cut.__init__
+
+    def counted_sides(state, free):
+        sides.append(free)
+        return read(state, free)
+
+    def counted_cut(self, *args, **kwargs):
+        cuts.append(args)
+        build(self, *args, **kwargs)
+
+    for module in (product_form, higher_level):
+        monkeypatch.setattr(module, "_lane_sides", counted_sides)
+    monkeypatch.setattr(Cut, "__init__", counted_cut)
+    found = analyze(c, 2)
+    assert len(found.relations) == 60 * 59 // 2
+    assert sides == [] and cuts == []
+    # The counters see a side and a cut once one is built.
+    sourced_cut(c, 0, 1)
+    higher_level._scan_pairs(c, [1, 2, (1 << 60) - 4], set())
+    assert sides and cuts
+
+
+def test_first_level_crossings_stay_inside_their_block():
+    # qbd 3x5: five-node cycles joined by two-node blocks, so some pair
+    # nodes are articulation points with out-neighbours in another block.
+    c = generate(ModelSpec(Family.QBD_TOY, {"blocks": 3, "blocksize": 5}))
+    blocks = _blocks(c.graph)
+    out = c.graph.out_mask
+    leaving = 0
+    crossings = _level_one(c)
+    assert crossings
+    for (i, j), (across_i, across_j) in crossings.items():
+        (block,) = [b for b in blocks if b >> i & 1 and b >> j & 1]
+        assert across_i and across_j
+        assert not (across_i | across_j) & ~block
+        assert (across_i, across_j) == _sourced_crossings(c, i, j)
+        leaving += bool((out[i] | out[j]) & ~block)
+    assert len(blocks) > 1 and leaving > 0
 
 
 # ---- shared factors ----
@@ -643,16 +706,16 @@ def test_analyze_builds_one_factor_per_node_of_a_one_way_cycle():
     assert len(found.relations) == 60 * 59 // 2
     factors = {id(f) for r in found.relations for f in (r.lhs_factor, r.rhs_factor)}
     assert len(factors) == 60
-    for h, relation in zip(found.levels[0].hyperedges, found.relations):
-        assert relation == s_relation(c, h.comp_i, h.comp_j)
+    for (i, j), relation in zip(found.pairs, found.relations):
+        assert relation == s_relation(c, i, j)
 
 
 def test_analyze_second_level_relations_equal_sps_relation():
     c = generate(ModelSpec(Family.BATCH_V1))
     found = analyze(c, 2)
-    first_count = len(found.levels[0].hyperedges)
+    first_count = len(found.pairs)
     second = found.relations[first_count:]
-    hyperedges = found.levels[1].hyperedges
+    hyperedges = found.higher[0].hyperedges
     assert len(second) == len(hyperedges) == 5
     for h, relation in zip(hyperedges, second):
         assert relation == sps_relation(c, h, min(h.cut.source_a), min(h.cut.source_b))
@@ -683,10 +746,11 @@ def _assert_first_level_cuts_are_their_relations(c: FormalChain) -> int:
         if r.level == LEVEL_S:
             s_relations.setdefault((r.lhs_node, r.rhs_node), []).append(r)
     pairs = []
-    for h in found.levels[0].hyperedges:
-        cut = h.cut
-        (i,), (j,) = cut.source_a, cut.source_b
-        (r,) = s_relations[min(i, j), max(i, j)]
+    for i, j in found.pairs:
+        # The level-1 cut comes from the per-pair closures, not from the analysis.
+        cut = sourced_cut(c, i, j)
+        assert (cut.source_a.mask, cut.source_b.mask) == (1 << i, 1 << j)
+        (r,) = s_relations[i, j]
         crossing = {
             i: frozenset((u, v) for u, v in g.edge_list if u == i and v in complement(cut.side_a)),
             j: frozenset((u, v) for u, v in g.edge_list if u == j and v in cut.side_a),

@@ -211,7 +211,9 @@ def test_stationary_and_relations_are_exact_on_rational_rates(family, params):
     assert found.relations
     for r in found.relations:
         assert verify_relation(pi, rates, r) == 0
-    cuts = [h.cut for lv in found.levels for h in lv.hyperedges]
+    cuts = [sourced_cut(c, i, j) for i, j in found.pairs] + [
+        h.cut for lv in found.higher for h in lv.hyperedges
+    ]
     assert all(type(x) is Fraction and x == 0 for x in cut_residuals(pi, rates, cuts))
 
 
@@ -347,8 +349,10 @@ def test_cut_residuals_equal_the_loop_on_random_chain_cuts():
         g = random_strongly_connected(rng, rng.randint(3, 12), rng.uniform(0.05, 0.4))
         c = FormalChain(g)
         found = analyze(c, 3)
-        deep += sum(len(lv.hyperedges) for lv in found.levels[2:])
-        cuts = [h.cut for lv in found.levels for h in lv.hyperedges]
+        deep += sum(len(lv.hyperedges) for lv in found.higher[1:])
+        cuts = [sourced_cut(c, i, j) for i, j in found.pairs] + [
+            h.cut for lv in found.higher for h in lv.hyperedges
+        ]
         _assert_residuals_exact(c, random_rates(c, seed), cuts)
     assert deep > 0
 
@@ -380,7 +384,7 @@ def test_cut_residuals_equal_the_loop_with_self_loops():
 
 def test_cut_residuals_are_exact_on_a_long_cycle():
     c = FormalChain(one_way_cycle(60))
-    cuts = [h.cut for lv in analyze(c, 2).levels for h in lv.hyperedges]
+    cuts = [sourced_cut(c, i, j) for i, j in analyze(c, 2).pairs]
     for seed in range(3):
         _assert_residuals_exact(c, random_rates(c, seed), cuts)
 
@@ -412,7 +416,7 @@ def test_cut_residuals_validate_the_universe():
 
 def test_cut_residuals_need_every_source_of_a_cut():
     c = generate(ModelSpec(Family.BATCH_V2))
-    (h,) = analyze(c, 2).levels[1].hyperedges
+    (h,) = analyze(c, 2).higher[0].hyperedges
     labels = c.graph.labels
     assert sorted(labels[v] for v in h.cut.source_a) == ["bar1", "bar2"]
     assert [labels[v] for v in h.cut.source_b] == ["2"]
