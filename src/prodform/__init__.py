@@ -57,6 +57,7 @@ from .numeric import (
     RateAssignment,
     StationaryMeasure,
     WitnessPair,
+    check,
     cut_equation_check,
     cut_residuals,
     enumerate_sourced_cuts,

@@ -9,11 +9,11 @@ invoked command's argument parser, and all five when the first argument names
 none. Reports list every node set, whatever its size, as its sorted labels.
 The ``analyze`` report writes each distinct factor once, in a ``factors``
 table that relation rows index, and only side A of a hyperedge's cut.
-``verify`` checks every relation, and the cuts of level 2 and up as rows named
-by their level and sources; a level-1 cut's balance is its relation, so it has
-no row of its own. ``generate`` writes only the chain document. ``oracle
---mode cuts`` writes only side A of each cut, and ``oracle random --mode cuts``
-refuses ``--nodes`` over the oracle's budget before it draws a chain.
+``verify`` reports ``numeric.check``'s rows: every relation, and each cut of
+level 2 and up named by its level and sources. ``generate`` writes only the
+chain document. ``oracle --mode cuts`` writes only side A of each cut, and
+``oracle random --mode cuts`` refuses ``--nodes`` over the oracle's budget
+before it draws a chain.
 """
 from __future__ import annotations
 
@@ -38,16 +38,8 @@ from .graph_core import DirectedGraph
 from .higher_level import Analysis, analyze, broad_pair_scan, higher_level_cut_graph
 from .models import Family, ModelSpec, parameter_names
 from .models import generate as generate_model
-from .numeric import (
-    _ORACLE_NODE_BUDGET,
-    RateAssignment,
-    cut_residuals,
-    enumerate_sourced_cuts,
-    random_rates,
-    rate_assignment,
-    relation_residuals,
-    stationary,
-)
+from .numeric import _ORACLE_NODE_BUDGET, RateAssignment, check, enumerate_sourced_cuts
+from .numeric import random_rates, rate_assignment
 from .product_form import ChainKind, FormalChain, _free_crossings, cut_graph
 
 EXIT_OK = 0
@@ -70,17 +62,12 @@ class GraphDocument:
     rates: tuple[float, ...] | None
 
     def to_json(self) -> dict:
-        edges = []
-        for k, (src, dst) in enumerate(self.edges):
-            entry: dict = {"from": src, "to": dst}
-            if self.rates is not None:
-                entry["rate"] = self.rates[k]
-            edges.append(entry)
+        """The document without its rates."""
         return {
             "name": self.name,
             "kind": self.kind,
             "nodes": list(self.nodes),
-            "edges": edges,
+            "edges": [{"from": src, "to": dst} for src, dst in self.edges],
         }
 
 
@@ -151,19 +138,12 @@ def document_to_chain(doc: GraphDocument) -> tuple[FormalChain, RateAssignment |
     return c, rate_assignment(c, values)
 
 
-def emit_document(
-    c: FormalChain, name: str, rates: RateAssignment | None = None
-) -> GraphDocument:
-    """Serialize a chain with lexicographically normalized node order."""
+def emit_document(c: FormalChain, name: str) -> GraphDocument:
+    """Serialize a chain, without rates, with lexicographically normalized node order."""
     g = c.graph
     nodes = tuple(sorted(g.labels))
     edges = tuple(sorted((g.labels[a], g.labels[b]) for a, b in g.edge_list))
-    values = None
-    if rates is not None:
-        values = tuple(
-            rates.values[(g.index_of[a], g.index_of[b])] for a, b in edges
-        )
-    return GraphDocument(name=name, kind=c.kind.value, nodes=nodes, edges=edges, rates=values)
+    return GraphDocument(name=name, kind=c.kind.value, nodes=nodes, edges=edges, rates=None)
 
 
 def _load(path: str) -> tuple[GraphDocument, FormalChain, RateAssignment | None]:
@@ -291,10 +271,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     labels = c.graph.labels
     found = analyze(c, max_level=2)
     relations = found.relations
-    # A level-1 cut's balance is its relation, pi_i * f_ij = pi_j * f_ji, whose factors
-    # are the crossing sums out of the cut's two sources; only higher levels need cut rows.
-    hyperedges = [(lv.level, h.cut) for lv in found.higher for h in lv.hyperedges]
-    cuts = [cut for _, cut in hyperedges]
     fault_name = None
     if args.fault is not None:
         if not relations:
@@ -309,13 +285,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if given is not None:
         assignments.append(("document", given))
     assignments.extend((f"seed {s}", random_rates(c, s)) for s in range(args.seeds))
-    relation_worst = [0.0] * len(relations)
-    cut_worst = [0.0] * len(cuts)
-    for _, rates in assignments:
-        pi = stationary(c, rates)
-        relation_worst = list(map(max, relation_worst, relation_residuals(pi, rates, relations)))
-        cut_worst = list(map(max, cut_worst, cut_residuals(pi, rates, cuts)))
+    relation_worst, cut_worst = check(c, found, [rates for _, rates in assignments])
     overall = max(relation_worst + cut_worst, default=0.0)
+    cut_rows = iter(cut_worst)
     report = {
         "name": doc.name,
         "assignments": [name for name, _ in assignments],
@@ -325,19 +297,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "lhs": labels[r.lhs_node],
                 "rhs": labels[r.rhs_node],
                 "level": r.level.name,
-                "worst_residual": relation_worst[k],
+                "worst_residual": worst,
             }
-            for k, r in enumerate(relations)
+            for r, worst in zip(relations, relation_worst)
         ],
-        # Named as analyze names its hyperedges: a level has one per component pair.
+        # Named as analyze names its hyperedges, in the order ``check`` gives their residuals.
         "cuts": [
             {
-                "level": level,
-                "source_i": _names(labels, cut.source_a),
-                "source_j": _names(labels, cut.source_b),
-                "worst_residual": cut_worst[k],
+                "level": lv.level,
+                "source_i": _names(labels, h.cut.source_a),
+                "source_j": _names(labels, h.cut.source_b),
+                "worst_residual": next(cut_rows),
             }
-            for k, (level, cut) in enumerate(hyperedges)
+            for lv in found.higher
+            for h in lv.hyperedges
         ],
         "max_residual": overall,
         "fault": fault_name,

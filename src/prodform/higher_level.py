@@ -16,10 +16,10 @@ crossing edges (``product_form._free_crossings``). One level loop,
 components; it skips pairs whose answer is already known, and says which
 and why that is exact.
 
-``analyze`` is the whole pipeline behind the command line's ``analyze`` and
-``verify``: level 1's pairs, the levels above it with their cuts, and every
-relation and cut they check. ``higher_level_cut_graph`` enters the same loop
-from ``cut_graph``.
+``analyze`` finds all that the command line's ``analyze`` reports and
+``verify`` checks: level 1's pairs, the levels above it with their cuts, and
+every relation; ``numeric.check`` does ``verify``'s solves and folds.
+``higher_level_cut_graph`` enters the same loop from ``cut_graph``.
 """
 from __future__ import annotations
 

@@ -2,9 +2,9 @@
 
 Everything here instantiates the symbolic rates with concrete positive numbers:
 solving for the stationary measure, measuring how well a relation or cut
-equation holds, enumerating sourced cuts by brute force, and building the
-two-assignment witness that separates the stationary ratios of a non-free
-node pair.
+equation holds (``check`` folds that over many assignments for ``verify``),
+enumerating sourced cuts by brute force, and building the two-assignment
+witness that separates the stationary ratios of a non-free node pair.
 """
 from __future__ import annotations
 
@@ -12,12 +12,13 @@ import heapq
 import math
 import random
 import reprlib
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 from .factors import Relation, evaluate
 from .graph_core import NodeSet, _descend, _layers
+from .higher_level import Analysis
 from .product_form import ChainKind, Cut, FormalChain, _sources
 
 _SOLVER_NODE_BUDGET = 2000
@@ -161,7 +162,8 @@ def relation_residuals(
 
     Factors are told apart by identity, so relations that hold the same factor
     object share one evaluation. Factors are evaluated in the order the
-    relations list them, so the first factor that fails raises.
+    relations list them, so the first factor that fails raises. A relation
+    whose two flows add up to 0 or overflow raises, as a cut's does.
     """
     values: dict[int, float] = {}
     for r in relations:
@@ -169,10 +171,13 @@ def relation_residuals(
             if id(e) not in values:
                 values[id(e)] = evaluate(e, rates.values)
     residuals = []
-    for r in relations:
+    for k, r in enumerate(relations):
         lhs = pi[r.lhs_node] * values[id(r.lhs_factor)]
         rhs = pi[r.rhs_node] * values[id(r.rhs_factor)]
-        residuals.append(abs(lhs - rhs) / (lhs + rhs))
+        total = lhs + rhs
+        if not 0 < total < math.inf:
+            raise NumericError(f"relation {k} has flow {total!r}; its balance is undefined")
+        residuals.append(abs(lhs - rhs) / total)
     return residuals
 
 
@@ -226,6 +231,26 @@ def _crossing_flow(out: list[list[tuple]], sources: int, side_a: int, into_a: bo
 def cut_equation_check(pi: StationaryMeasure, rates: RateAssignment, cut: Cut) -> float:
     """Relative residual of the crossing-flow balance over the cut's bipartition."""
     return cut_residuals(pi, rates, [cut])[0]
+
+
+def check(
+    c: FormalChain, analysis: Analysis, assignments: Iterable[RateAssignment]
+) -> tuple[list[float], list[float]]:
+    """Each relation's and each cut's worst residual over the assignments, in order.
+
+    Each assignment is solved once. A level-1 cut's balance is its relation,
+    pi_i * f_ij = pi_j * f_ji, whose factors are the crossing sums out of the
+    cut's two sources, so only the cuts of level 2 and up get entries, in
+    ``analysis.higher``'s hyperedge order. Solver and evaluation errors raise.
+    """
+    cuts = [h.cut for lv in analysis.higher for h in lv.hyperedges]
+    relation_worst = [0.0] * len(analysis.relations)
+    cut_worst = [0.0] * len(cuts)
+    for rates in assignments:
+        pi = stationary(c, rates)
+        relation_worst = list(map(max, relation_worst, relation_residuals(pi, rates, analysis.relations)))
+        cut_worst = list(map(max, cut_worst, cut_residuals(pi, rates, cuts)))
+    return relation_worst, cut_worst
 
 
 # ---- exhaustive oracle ----

@@ -99,25 +99,26 @@ def test_round_trip_normalizes_node_order():
                 "kind": "ctmc",
                 "nodes": ["c", "a", "b"],
                 "edges": [
-                    {"from": "c", "to": "a", "rate": 3.0},
-                    {"from": "a", "to": "b", "rate": 1.0},
-                    {"from": "b", "to": "c", "rate": 2.0},
+                    {"from": "c", "to": "a"},
+                    {"from": "a", "to": "b"},
+                    {"from": "b", "to": "c"},
                 ],
             }
         )
     )
-    chain, rates = cli.document_to_chain(doc)
-    emitted = cli.emit_document(chain, doc.name, rates)
+    chain, _ = cli.document_to_chain(doc)
+    emitted = cli.emit_document(chain, doc.name)
     assert emitted.nodes == ("a", "b", "c")
-    chain2, rates2 = cli.document_to_chain(emitted)
-    assert cli.emit_document(chain2, doc.name, rates2) == emitted
+    assert emitted.edges == (("a", "b"), ("b", "c"), ("c", "a"))
+    chain2, _ = cli.document_to_chain(emitted)
+    assert cli.emit_document(chain2, doc.name) == emitted
 
 
 def test_round_trip_fixed_point_for_generated_documents(tmp_path):
     path = _generate(tmp_path, "msj")
     doc = cli.parse_document(Path(path).read_text(encoding="utf-8"))
-    chain, rates = cli.document_to_chain(doc)
-    assert cli.emit_document(chain, doc.name, rates) == doc
+    chain, _ = cli.document_to_chain(doc)
+    assert cli.emit_document(chain, doc.name) == doc
 
 
 # ---- exit codes ----
@@ -385,6 +386,18 @@ def test_verify_uses_document_rates_when_present(tmp_path):
     assert cli.main(["verify", str(doc), "--seeds", "0", "--out", out]) == cli.EXIT_OK
     assert _read_json(out)["assignments"] == ["document"]
     assert cli.main(["verify", str(doc), "--seeds", "-1"]) == cli.EXIT_INPUT
+
+
+def test_verify_reports_an_underflowed_flow_as_one_error_line(tmp_path, capsys):
+    # A valid document whose relation flows underflow to 0.0 under its own rates.
+    doc = tmp_path / "subnormal.json"
+    edges = [{"from": a, "to": b, "rate": 5e-324} for a, b in (("a", "b"), ("b", "a"))]
+    doc.write_text(json.dumps({"nodes": ["a", "b"], "edges": edges}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", str(doc), "--seeds", "0"]) == cli.EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: relation 0 has flow 0.0; its balance is undefined\n"
 
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])

@@ -17,8 +17,10 @@ from prodform import (
     InvalidArgumentError,
     NumericError,
     RateAtom,
+    Relation,
     ResourceLimitError,
     analyze,
+    check,
     cut_graph,
     cut_source,
     cut_equation_check,
@@ -29,6 +31,7 @@ from prodform import (
     mutually_avoiding_ancestors,
     random_rates,
     rate_assignment,
+    relation_residuals,
     s_relation,
     sourced_cut,
     stationary,
@@ -450,6 +453,51 @@ def test_cut_residuals_bound_their_temporaries():
     assert peak < 8 << 20
     assert len(residuals) == len(cuts)
     assert max(residuals) <= BALANCE_TOL
+
+
+def test_relation_residuals_refuse_an_underflowed_flow():
+    # Both rates are the smallest subnormal: pi is uniform, but each side's flow underflows to 0.
+    c = FormalChain(DirectedGraph(["a", "b"], [(0, 1), (1, 0)]))
+    lost = rate_assignment(c, {e: 5e-324 for e in c.graph.edge_list})
+    pi = stationary(c, lost)
+    found = analyze(c, 2)
+    (r,) = found.relations
+    with pytest.raises(NumericError, match=r"^relation 0 has flow 0\.0; its balance is undefined$"):
+        relation_residuals(pi, lost, [r])
+    with pytest.raises(NumericError, match="balance is undefined"):
+        verify_relation(pi, lost, r)
+    with pytest.raises(NumericError, match="balance is undefined"):
+        check(c, found, [random_rates(c, 0), lost])
+
+
+# ---- the verify check ----
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_check_folds_each_row_over_every_assignment(family):
+    c = generate(ModelSpec(family))
+    found = analyze(c, 2)
+    cuts = [h.cut for lv in found.higher for h in lv.hyperedges]
+    assignments = [random_rates(c, seed) for seed in range(3)]
+    solved = [(stationary(c, rates), rates) for rates in assignments]
+    relation_worst, cut_worst = check(c, found, iter(assignments))
+    # Each entry is its one-row residual's worst; the cut entries follow the hyperedge order.
+    assert relation_worst == [max(verify_relation(pi, q, r) for pi, q in solved) for r in found.relations]
+    assert cut_worst == [max(cut_equation_check(pi, q, cut) for pi, q in solved) for cut in cuts]
+    rng = random.Random(5)
+    exact = rate_assignment(
+        c, {e: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for e in c.graph.edge_list}
+    )
+    exact_relations, exact_cuts = check(c, found, [exact])
+    assert len(exact_relations) == len(found.relations) and len(exact_cuts) == len(cuts)
+    assert all(x == 0 for x in exact_relations + exact_cuts)
+    if found.relations:
+        k = len(found.relations) // 2
+        r = found.relations[k]
+        found.relations[k] = Relation(r.lhs_node, r.rhs_node, r.rhs_factor, r.lhs_factor, r.level)
+        faulted, again = check(c, found, assignments)
+        assert [j for j, x in enumerate(faulted) if x > 1e-3] == [k]
+        assert again == cut_worst
 
 
 # ---- exhaustive oracle ----
