@@ -37,7 +37,6 @@ from .product_form import (
     _crossing_sum,
     _free_crossings,
     _free_lanes,
-    _lane_sides,
     _leaving,
     cut_graph,
     is_jaf,
@@ -78,19 +77,26 @@ class CutHypergraph:
 def _scan_pairs(c: FormalChain, comps: Sequence[int], settled: set[int]) -> tuple[HyperEdge, ...]:
     """Hyperedges between the pairs of a mask partition, skipping pairs of two ``settled`` masks.
 
-    A free lane's sources are read from its own two components, where
-    ``_free_lanes`` shows they lie.
+    Lane q's side is the set of nodes whose state holds bit q, found in one
+    walk over the states. Its sources are read from its own two components,
+    where ``_free_lanes`` shows they lie.
     """
     g = c.graph
     n = g.n
     full = (1 << n) - 1
     edges = []
     for p, _, free, state in _free_lanes(g.in_adj, g.out_adj, comps, settled):
-        for q, side_a in _lane_sides(state, free):
+        while free:
+            lane = free & -free
+            free ^= lane
+            q = lane.bit_length() - 1
+            side_a = 0
+            for v, s in enumerate(state):
+                if s & lane:
+                    side_a |= 1 << v
             source_a = NodeSet(_leaving(g, comps[p], full ^ side_a), n)
             source_b = NodeSet(_leaving(g, comps[q], side_a), n)
-            cut = Cut(NodeSet(side_a, n), source_a, source_b)
-            edges.append(HyperEdge(p, q, cut))
+            edges.append(HyperEdge(p, q, Cut(NodeSet(side_a, n), source_a, source_b)))
     return tuple(edges)
 
 

@@ -216,13 +216,9 @@ def cut_residuals(
 
 def _crossing_flow(out: list[list[tuple]], sources: int, side_a: int, into_a: bool) -> float:
     """The sources' flow into side A (``into_a``) or out of it, added in rate-map order."""
-    if sources & sources - 1:
-        edges = heapq.merge(*(out[u] for u in NodeSet(sources, len(out))))
-    else:
-        edges = out[sources.bit_length() - 1]
     flow = 0
     # A loop, not sum(): from Python 3.12 sum() compensates float rounding.
-    for _, v, f in edges:
+    for _, v, f in heapq.merge(*(out[u] for u in NodeSet(sources, len(out)))):
         if (side_a >> v & 1) == into_a:
             flow += f
     return flow

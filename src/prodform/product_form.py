@@ -323,34 +323,6 @@ def _free_lanes(
         yield p, lanes, lanes & ~bad, state
 
 
-# ``_BIT_DIGITS[b]`` maps each byte to the ASCII digit of its bit b.
-_BIT_DIGITS = [bytes(48 + (x >> b & 1) for x in range(256)) for b in range(8)]
-
-
-def _lane_sides(state: list[int], free: int) -> Iterator[tuple[int, int]]:
-    """Each free lane q of a ``_free_lanes`` pass with the mask of its side.
-
-    The sides are read as byte columns of the lane states. Each state, shifted
-    down to the pass's lowest free lane and cut to its free lanes, is one
-    little-endian row of a byte matrix; a free lane's side is the strided
-    column of its byte, turned into binary digits by ``bytes.translate`` and
-    into a mask by ``int(digits, 2)``. So each side costs a fixed number of
-    steps that run in C over n bytes, not a Python walk over n states. A pass
-    with no free lane builds no matrix.
-    """
-    if not free:
-        return
-    low = (free & -free).bit_length() - 1
-    width = (free.bit_length() - low + 7) >> 3
-    rows = b"".join([((s & free) >> low).to_bytes(width, "little") for s in state])
-    while free:
-        lane = free & -free
-        free ^= lane
-        k = lane.bit_length() - 1 - low
-        # Digit v is node v's bit, so reversed, node 0 is the lowest bit.
-        yield k + low, int(rows[k >> 3 :: width].translate(_BIT_DIGITS[k & 7])[::-1], 2)
-
-
 def _free_crossings(g: DirectedGraph) -> Iterator[tuple[int, int, int, int]]:
     """Every free pair of single nodes with the crossing edges of its cut, block by block.
 

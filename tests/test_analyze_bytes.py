@@ -51,20 +51,28 @@ FAMILY_INLINED_DIGESTS = {
     "twoway": "373c41b9c2d5fe9a124445a22f7921d41789759db621e1df0dc12dcfab8fba99",
 }
 
-# Larger sizes whose lanes run past the first byte: oneway n = 70 spans 9
-# bytes of lanes, qbd 16x5 (80 nodes) 10. The inlined digests were recorded
-# before cut sides were read as byte columns of the lane states.
+# Larger chains. oneway n = 70 and qbd 16x5 (80 nodes) run level 1 over
+# many lanes and have no level 2. The two batch-deep chains have 81 nodes
+# and read their hyperedge cut sides from the lane states: batchv1 x3 has
+# 26 hyperedges over 27 components at level 2, and batchv2 five levels of
+# one hyperedge each.
 SIZED = {
     "oneway-70": ("oneway", "--n", "70"),
     "qbd-16x5": ("qbd", "--blocks", "16", "--blocksize", "5"),
+    "batchv1-x3-40": ("batchv1", "--multiple", "3", "--truncate", "40"),
+    "batchv2-40": ("batchv2", "--truncate", "40"),
 }
 SIZED_DIGESTS = {
     "oneway-70": "5b8deb4adae1ffa6aa96c10fd65a13727f09c56fb80c0976d5bfdec1e069f8c1",
     "qbd-16x5": "cd11d69ae491483e29670120b706cc6f070bbbc41f18a8695d841a2285273064",
+    "batchv1-x3-40": "228755a2296addea36f93fe40f11e90e1b9212f0d97944a36400012641979577",
+    "batchv2-40": "c6ab736f06d5658d98db78919e97e497c2f8924c9a50f0b724d8fb3aecc80116",
 }
 SIZED_INLINED_DIGESTS = {
     "oneway-70": "91bd5f1afd21c7af525dd65e1b1ab4adbdc2f3c8d18d0d90fb48bb50caec82fa",
     "qbd-16x5": "30b05f548aea93a5e4871122cedc580ffad7e3e39e7691cbacf01440ecdc6774",
+    "batchv1-x3-40": "e5fdb0dada73dbd4d74ae739e39c89f6f32621f536efcf25337eed485575eeda",
+    "batchv2-40": "2c20fb6d92ee4246f547f13ca0068b710dfb268f13b3087cd9fc5bc019026418",
 }
 
 # random_strongly_connected(random.Random(seed), 6..10 nodes), named random-<seed>.

@@ -653,29 +653,28 @@ def test_first_level_scans_a_one_block_chain_whole(monkeypatch):
 def test_first_level_builds_no_cut_side(monkeypatch):
     # A work bound: level 1 reads its crossing edges from the lane states alone.
     c = generate(ModelSpec(Family.ONE_WAY_CYCLE, {"n": 60}))
-    sides = []
+    scans = []
     cuts = []
-    read = product_form._lane_sides
+    scan = higher_level._scan_pairs
     build = Cut.__init__
 
-    def counted_sides(state, free):
-        sides.append(free)
-        return read(state, free)
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
 
     def counted_cut(self, *args, **kwargs):
         cuts.append(args)
         build(self, *args, **kwargs)
 
-    for module in (product_form, higher_level):
-        monkeypatch.setattr(module, "_lane_sides", counted_sides)
+    monkeypatch.setattr(higher_level, "_scan_pairs", counted_scan)
     monkeypatch.setattr(Cut, "__init__", counted_cut)
     found = analyze(c, 2)
     assert len(found.relations) == 60 * 59 // 2
-    assert sides == [] and cuts == []
-    # The counters see a side and a cut once one is built.
+    assert scans == [] and cuts == []
+    # The counters see a side scan and a cut once one is built.
     sourced_cut(c, 0, 1)
     higher_level._scan_pairs(c, [1, 2, (1 << 60) - 4], set())
-    assert sides and cuts
+    assert len(scans) == 1 and cuts
 
 
 def test_first_level_crossings_stay_inside_their_block():

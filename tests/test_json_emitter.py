@@ -9,9 +9,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from decimal import Decimal
 from enum import IntEnum
+from fractions import Fraction
 
-import numpy
 import pytest
 
 from prodform import Family, FormalChain, cli
@@ -33,6 +34,14 @@ STRINGS = (
     "bar1",
 )
 
+
+class Tagged(float):
+    """A ``float`` subclass whose own ``repr`` is not a JSON number."""
+
+    def __repr__(self) -> str:
+        return f"Tagged({float.__repr__(self)})"
+
+
 FLOATS = (
     -0.0,
     5e-324,
@@ -42,9 +51,9 @@ FLOATS = (
     math.nan,
     math.inf,
     -math.inf,
-    numpy.float64(0.1),
-    numpy.float64(-2.5e-7),
-    numpy.float64(math.nan),
+    Tagged(0.1),
+    Tagged(-2.5e-7),
+    Tagged(math.nan),
 )
 
 
@@ -157,8 +166,8 @@ def test_emitter_rejects_a_key_that_is_not_a_string(payload):
 
 @pytest.mark.parametrize(
     "value",
-    [{1, 2}, b"bytes", object(), numpy.int64(3), numpy.bool_(True)],
-    ids=["set", "bytes", "object", "numpy-int64", "numpy-bool"],
+    [{1, 2}, b"bytes", object(), Decimal(3), Fraction(1, 3)],
+    ids=["set", "bytes", "object", "decimal", "fraction"],
 )
 def test_emitter_rejects_what_json_dumps_rejects(value):
     with pytest.raises(TypeError):

@@ -2,8 +2,10 @@
 
 Three runs are pinned per chain: ``--seeds 3``, ``--seeds 1 --fault`` and
 ``--seeds 2 --fault 7``. The chains are every family at its default size and
-the eight seeded random chains of ``test_analyze_bytes.py``, and its two
-larger ``SIZED`` chains. The digests were re-recorded when ``verify`` stopped
+the eight seeded random chains of ``test_analyze_bytes.py``, and its four
+larger ``SIZED`` chains. Its two batch-deep chains check 26 and 5 cuts of
+level 2 and up; their digests were recorded before a cut side was read by a
+walk over the lane states, and held after. The digests were re-recorded when ``verify`` stopped
 writing a row per level-1 cut, since such a cut's balance is its relation,
 and began naming each cut row of level 2 and up by its level and sources
 instead of side A's labels. The 12 that held are the runs with no cut row:
@@ -97,6 +99,16 @@ DIGESTS: dict[str, dict[str, tuple[int, str]]] = {
         "fault": (1, "e4d23e09f028093cc2317fe9f8b328f537094b4427b0a38192f8bcdb9109967f"),
         "fault7": (1, "8b2d9a5b3ac7b2833670e53a0ad670b001bae973d5622617a4973702197e0f65"),
         "seeds3": (0, "51a4dd0c78212c00720df162a1543043af1bc44613ffc1172375049d7b2b03da"),
+    },
+    "batchv1-x3-40": {
+        "fault": (1, "6d001052893623bec00e865eeff9bd7cadbd24a0dae0efbd9f98eb1f7d62a19a"),
+        "fault7": (1, "f42e5feeed73081280e33a27a8a1e674515a69ad44df13e3211a27647d1455ec"),
+        "seeds3": (0, "f9a384bf2413e0944eca0acfdb91a7e460dfd86551743025cd34ae8e7ce94d8a"),
+    },
+    "batchv2-40": {
+        "fault": (1, "a14e74824087b22f8e0afe4a48cb716065b1e87400d1b10e63f3695784cc70a9"),
+        "fault7": (1, "8b3e031ca6a424e094c60f39833f32036597de4b52c32b10d58c9a7407c44797"),
+        "seeds3": (0, "0a7921a1e1aad593b7a5129f6d62de515346e2527229eb583e0cd5d14474f665"),
     },
     "random-0": {
         "fault": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
