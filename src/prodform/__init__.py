@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 from .errors import (
+    BUDGETS,
     InvalidArgumentError,
     NotStronglyConnectedError,
     NumericError,
     ProdformError,
     ResourceLimitError,
+    check_budget,
 )
 from .factors import (
     CircuitStats,

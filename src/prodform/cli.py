@@ -32,13 +32,14 @@ from .errors import (
     NotStronglyConnectedError,
     NumericError,
     ResourceLimitError,
+    check_budget,
 )
 from .factors import Relation, relations_to_json
 from .graph_core import DirectedGraph
 from .higher_level import Analysis, analyze, broad_pair_scan, higher_level_cut_graph
 from .models import Family, ModelSpec, parameter_names
 from .models import generate as generate_model
-from .numeric import _ORACLE_NODE_BUDGET, RateAssignment, check, enumerate_sourced_cuts
+from .numeric import RateAssignment, check, enumerate_sourced_cuts
 from .numeric import random_rates, rate_assignment
 from .product_form import ChainKind, FormalChain, _free_crossings, cut_graph
 
@@ -459,10 +460,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if value < least:
             raise InvalidArgumentError(f"{flag} must be at least {least}, got {value}")
     # Refused before any chain is drawn: drawing one costs n^2 random numbers.
-    if args.mode == "cuts" and args.nodes > _ORACLE_NODE_BUDGET:
-        raise ResourceLimitError(
-            f"--nodes {args.nodes} exceeds the exhaustive cut enumeration budget of {_ORACLE_NODE_BUDGET}"
-        )
+    if args.mode == "cuts":
+        check_budget("exhaustive cut enumeration", args.nodes)
     rng = random.Random(args.seed)
     chains = (_random_chain(rng, args.nodes) for _ in range(args.samples))
     report = {"mode": args.mode, "samples": args.samples, "nodes": args.nodes, "seed": args.seed}

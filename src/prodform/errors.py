@@ -32,7 +32,17 @@ class NotStronglyConnectedError(ProdformError):
 
 
 class ResourceLimitError(ProdformError):
-    """An enumeration or solver budget was exceeded (exit 4)."""
+    """A routine's node budget in ``BUDGETS`` was exceeded (exit 4)."""
+
+
+# The node limit of each routine whose cost grows too fast to run unbounded.
+BUDGETS = {"the stationary solve": 2000, "exhaustive cut enumeration": 20, "subset search": 12}
+
+
+def check_budget(routine: str, nodes: int) -> None:
+    """Refuse ``routine`` over ``nodes`` nodes when that is past its entry in ``BUDGETS``."""
+    if nodes > (limit := BUDGETS[routine]):
+        raise ResourceLimitError(f"{routine} over {nodes} nodes exceeds its budget of {limit}")
 
 
 class NumericError(ProdformError):

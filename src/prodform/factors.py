@@ -83,6 +83,8 @@ def product_of(pairs: Iterable[tuple[FactorExpr, int]]) -> ProductExpr:
 
 # ---- classification ----
 
+_LEVEL_NAMES = {1: "S", 2: "PS", 3: "SPS", 4: "PSPS"}
+
 
 @dataclass(frozen=True)
 class Level:
@@ -96,7 +98,7 @@ class Level:
 
     @property
     def name(self) -> str:
-        return {1: "S", 2: "PS", 3: "SPS", 4: "PSPS"}.get(self.rank, f"HIGHER({self.rank})")
+        return _LEVEL_NAMES.get(self.rank) or f"HIGHER({self.rank})"
 
     def __str__(self) -> str:
         return self.name

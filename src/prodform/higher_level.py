@@ -27,7 +27,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, check_budget
 from .factors import LEVEL_S, FactorExpr, Relation, SumExpr, make_relation, product_of, sum_of
 from .graph_core import NodeSet, _components, _descend, _layers
 from .product_form import (
@@ -42,8 +42,6 @@ from .product_form import (
     is_jaf,
     s_relation,
 )
-
-_BROAD_SEARCH_BUDGET = 12
 
 # ---- types ----
 
@@ -311,16 +309,12 @@ def broad_cut_search(c: FormalChain, k1: NodeSet, k2: NodeSet) -> list[tuple[Nod
     """Every free pair of nonempty subsets (I, J) with I within k1 and J within k2.
 
     Exhaustive over both powersets, so the two sets together may span at most
-    ``_BROAD_SEARCH_BUDGET`` nodes; larger inputs are refused outright rather
-    than silently truncated. Results are sorted by (I, J) masks for determinism.
+    the nodes that ``BUDGETS`` allows subset search; larger inputs are refused
+    outright, not truncated. Results are sorted by (I, J) masks for determinism.
     """
     if not k1 or not k2 or not k1.isdisjoint(k2):
         raise InvalidArgumentError("component sets must be nonempty and disjoint")
-    total = len(k1) + len(k2)
-    if total > _BROAD_SEARCH_BUDGET:
-        raise ResourceLimitError(
-            f"subset search over {total} nodes exceeds the budget of {_BROAD_SEARCH_BUDGET}"
-        )
+    check_budget("subset search", len(k1) + len(k2))
     n = c.graph.n
     found: list[tuple[NodeSet, NodeSet]] = []
     # Each walk visits every nonempty submask once in decreasing order, so the

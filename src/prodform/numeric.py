@@ -15,14 +15,12 @@ import reprlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, NumericError, ResourceLimitError
+from .errors import InvalidArgumentError, NumericError, check_budget
 from .factors import Relation, evaluate
 from .graph_core import NodeSet, _descend, _layers
 from .higher_level import Analysis
 from .product_form import ChainKind, Cut, FormalChain, _sources
 
-_SOLVER_NODE_BUDGET = 2000
-_ORACLE_NODE_BUDGET = 20
 _BALANCE_TOLERANCE = 1e-10
 _ROW_SUM_TOLERANCE = 1e-12
 
@@ -105,8 +103,7 @@ def stationary(c: FormalChain, rates: RateAssignment) -> StationaryMeasure:
     """
     g = c.graph
     n = g.n
-    if n > _SOLVER_NODE_BUDGET:
-        raise ResourceLimitError(f"chain has {n} nodes; the solver budget is {_SOLVER_NODE_BUDGET}")
+    check_budget("the stationary solve", n)
     out: list[dict[int, float]] = [{} for _ in range(n)]
     into: list[set[int]] = [set() for _ in range(n)]
     for (u, v), q in rates.values.items():
@@ -272,10 +269,7 @@ def enumerate_sourced_cuts(c: FormalChain) -> dict[tuple[int, int], Cut]:
     """
     g = c.graph
     n = g.n
-    if n > _ORACLE_NODE_BUDGET:
-        raise ResourceLimitError(
-            f"chain has {n} nodes; exhaustive cut enumeration is budgeted at {_ORACLE_NODE_BUDGET}"
-        )
+    check_budget("exhaustive cut enumeration", n)
     width = 1 << (n - 1)
     columns = [(1 << width) - 1]
     for v in range(1, n):

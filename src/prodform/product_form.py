@@ -38,12 +38,13 @@ no cut side.
 from __future__ import annotations
 
 import enum
+import functools
 import reprlib
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, NotStronglyConnectedError
-from .factors import FactorExpr, Relation, SumExpr, RateAtom, make_relation, product_of
+from .factors import Relation, SumExpr, RateAtom, chain_relations, make_relation
 from .graph_core import (
     DirectedGraph,
     NodeSet,
@@ -112,14 +113,10 @@ def mutually_avoiding_ancestors(
 ) -> tuple[NodeSet, NodeSet]:
     """Ancestors of each seed set inside the subgraph avoiding the other.
 
-    Seeds must be nonempty and disjoint. The two results always cover V
-    (every node reaches one seed before the other blocks it); they are
-    disjoint exactly when the seed pair is joint-ancestor free.
+    Seeds must be nonempty and disjoint (``ancestors_avoiding`` checks). The
+    results always cover V (every node reaches one seed before the other
+    blocks it); they are disjoint exactly when the pair is joint-ancestor free.
     """
-    if not i_set or not j_set:
-        raise InvalidArgumentError("both seed sets must be nonempty")
-    if not i_set.isdisjoint(j_set):
-        raise InvalidArgumentError("seed sets overlap")
     return (
         ancestors_avoiding(c.graph, i_set, j_set),
         ancestors_avoiding(c.graph, j_set, i_set),
@@ -176,18 +173,17 @@ def sourced_cut(c: FormalChain, i: int, j: int) -> Cut | None:
     g = c.graph
     if i == j or not (0 <= i < g.n and 0 <= j < g.n):
         raise InvalidArgumentError("a sourced cut needs two distinct valid nodes")
-    full = (1 << g.n) - 1
-    a = _closure(g.in_mask, 1 << i, full & ~(1 << j))
-    b = _closure(g.in_mask, 1 << j, full & ~(1 << i))
-    if a & b:
+    seed_i, seed_j = NodeSet(1 << i, g.n), NodeSet(1 << j, g.n)
+    side_a, side_b = mutually_avoiding_ancestors(c, seed_i, seed_j)
+    if not side_a.isdisjoint(side_b):
         return None
-    assert a | b == full, "disjoint avoiding-ancestor sets must cover all nodes"
-    src_a, src_b = _sources(g, a, b)
+    assert len(side_a) + len(side_b) == g.n, "disjoint avoiding-ancestor sets must cover all nodes"
+    src_a, src_b = _sources(g, side_a.mask, side_b.mask)
     assert src_a == 1 << i and src_b == 1 << j, (
         f"cut from nodes ({g.labels[i]}, {g.labels[j]}) has sources "
         f"{bin(src_a)}/{bin(src_b)}; expected exactly the defining pair"
     )
-    return Cut(NodeSet(a, g.n), NodeSet(1 << i, g.n), NodeSet(1 << j, g.n))
+    return Cut(side_a, seed_i, seed_j)
 
 
 def s_factors(c: FormalChain, i: int, j: int) -> tuple[SumExpr, SumExpr] | None:
@@ -215,11 +211,11 @@ def s_relation(c: FormalChain, i: int, j: int) -> Relation | None:
 def compose_ps(path: Sequence[int], chain: FormalChain) -> Relation:
     """Relation between the endpoints of a path in the cut graph.
 
-    Multiplies the per-hop factor pairs along ``path``: with hops
+    Chains the per-hop relations with ``chain_relations``: with hops
     ``k_1, ..., k_{d+1}`` the identity is
-    ``pi[k_1] * prod_p f(k_p, k_{p+1}) = pi[k_{d+1}] * prod_p f(k_{p+1}, k_p)``.
-    Consecutive path nodes must admit a sourced cut (be joint-ancestor free);
-    a single hop yields the plain width-level relation of that edge.
+    ``pi[k_1] * prod_p f(k_p, k_{p+1}) = pi[k_{d+1}] * prod_p f(k_{p+1}, k_p)``,
+    whose far side lists its factors from the last hop back. Consecutive path
+    nodes must be joint-ancestor free; one hop gives that edge's S relation.
 
     The caller is responsible for passing a shortest cut-graph path when the
     closed-form circuit-size guarantee (depth 2, size 1 + d + total width) is
@@ -229,23 +225,16 @@ def compose_ps(path: Sequence[int], chain: FormalChain) -> Relation:
         raise InvalidArgumentError("a path relation needs at least two nodes")
     if len(set(path)) != len(path):
         raise InvalidArgumentError("path nodes must be distinct")
-    forward: list[FactorExpr] = []
-    backward: list[FactorExpr] = []
+    hops: list[Relation] = []
     for a, b in zip(path, path[1:]):
-        pair = s_factors(chain, a, b)
-        if pair is None:
+        hop = s_relation(chain, a, b)
+        if hop is None:
             raise InvalidArgumentError(
                 f"nodes {reprlib.repr(chain.graph.labels[a])} and {reprlib.repr(chain.graph.labels[b])} "
                 "share a joint ancestor; consecutive path nodes must be cut-graph neighbors"
             )
-        forward.append(pair[0])
-        backward.append(pair[1])
-    if len(forward) == 1:
-        lhs, rhs = forward[0], backward[0]
-    else:
-        lhs = product_of((f, 1) for f in forward)
-        rhs = product_of((f, 1) for f in backward)
-    return make_relation(path[0], path[-1], lhs, rhs)
+        hops.append(hop)
+    return functools.reduce(chain_relations, hops)
 
 
 def _free_lanes(

@@ -210,9 +210,22 @@ def test_exit_code_for_disconnected_chain(tmp_path, capsys):
     assert "'a'" in err and "'b'" in err
 
 
-def test_exit_code_for_budget(tmp_path):
-    path = _generate(tmp_path, "msj")  # 21 nodes, beyond the exhaustive-cut budget
-    assert cli.main(["oracle", path, "--mode", "cuts"]) == cli.EXIT_BUDGET
+@pytest.mark.parametrize(
+    "generate, command, message",
+    [
+        # msj has 21 nodes, one over the exhaustive-cut budget.
+        (["msj"], ["oracle", "--mode", "cuts"], "exhaustive cut enumeration over 21 nodes exceeds its budget of 20"),
+        (["bd", "--n", "2001"], ["verify", "--seeds", "1"], "the stationary solve over 2001 nodes exceeds its budget of 2000"),
+    ],
+    ids=["oracle", "verify"],
+)
+def test_exit_code_for_budget(tmp_path, capsys, generate, command, message):
+    path = _generate(tmp_path, *generate)
+    capsys.readouterr()
+    assert cli.main([command[0], path, *command[1:]]) == cli.EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_oracle_random_cuts_refuses_nodes_over_the_budget_before_drawing(monkeypatch, capsys):
@@ -225,7 +238,7 @@ def test_oracle_random_cuts_refuses_nodes_over_the_budget_before_drawing(monkeyp
     assert cli.main([*argv, "21"]) == cli.EXIT_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exceeds the exhaustive cut enumeration budget of 20" in captured.err
+    assert "exhaustive cut enumeration over 21 nodes exceeds its budget of 20" in captured.err
     # The budget itself is admitted, and broad mode still draws and reports what it skips.
     for mode, nodes in (("cuts", "20"), ("broad", "21")):
         with pytest.raises(AssertionError, match=f"a {nodes}-node chain was drawn"):

@@ -30,10 +30,13 @@ from prodform import (
     format_factor,
     make_relation,
     product_of,
+    random_rates,
     relation_to_json,
     relations_to_json,
     s_factors,
+    stationary,
     sum_of,
+    verify_relation,
 )
 from prodform.graph_core import NodeSet
 
@@ -288,12 +291,19 @@ def test_compose_classification_over_paths():
     seen_ps = 0
     for c in _path_corpus(rng):
         cg = cut_graph(c)
+        composed = []
         for a, b in sorted(cg.edges):
-            assert compose_ps([a, b], c).level == LEVEL_S
+            composed.append(compose_ps([a, b], c))
+            assert composed[-1].level == LEVEL_S
         for path in _c1_simple_paths(cg.edges, c.graph.n, max_hops=2):
             if len(path) >= 3:
-                assert compose_ps(path, c).level == Level(2)
+                composed.append(compose_ps(path, c))
+                assert composed[-1].level == Level(2)
                 seen_ps += 1
+        # Every composed relation holds numerically, not only in shape.
+        for rates in (random_rates(c, 0), random_rates(c, 1)):
+            pi = stationary(c, rates)
+            assert all(verify_relation(pi, rates, r) <= 1e-9 for r in composed)
     assert seen_ps >= 20
 
 

@@ -27,7 +27,6 @@ _PACKAGE = _ROOT / "src" / "prodform"
 # Names kept without a caller because an open ROADMAP item will call them.
 _ALLOWED = {
     "compose_ps",  # ROADMAP item 3: the certificate composes relations along cut-graph paths
-    "chain_relations",  # ROADMAP items 2 and 3: deep relations and the certificate chain relations
     "clique_territory_cut",  # ROADMAP item 6: `explain` gives a clique pair's territory cut
 }
 
